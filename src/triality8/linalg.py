@@ -1,17 +1,58 @@
 """Dense exact linear algebra over Q(r3) and Q(r3)[i].
 
-Matrices are lists of rows of Scalar/CScalar. Everything here is plain
-Gaussian elimination with exact field arithmetic; there is no pivoting
-heuristic beyond "first nonzero", since exact zero tests make breakdown
-impossible.
+Matrices are lists of rows of Scalar/CScalar.  ``rref`` is Gauss-Jordan
+elimination with exact field arithmetic ("first nonzero" pivoting; exact
+zero tests make breakdown impossible).
+
+``rank``, ``nullspace``, ``column_space_basis`` and ``solve`` (and with
+them ``in_span`` and ``same_span``) take a faster route to the same exact
+answer.  Each entry a + b r3 + (c + d r3) i is mapped to the integers mod
+the prime P = 1 (mod 12) under every embedding r3 -> +-S3, i -> +-J the
+entries need, and Gauss-Jordan runs on plain ints once per embedding.
+From the reduced matrices the exact entries R[row][f] of every free
+column f are rebuilt by rational reconstruction and then certified:
+
+- each free column must equal the same combination of the pivot columns
+  exactly, A[:, f] == sum_row R[row][f] A[:, pivot(row)], checked on the
+  nonzero entries of each row in integer arithmetic;
+- the rank mod P is a lower bound on the rank, and the certified free
+  columns are n - rank_P independent kernel vectors, an upper bound; so
+  the rank is exact, each free column depends on earlier pivots only, the
+  pivots are the exact pivots, and the rebuilt entries are the exact RREF
+  entries.  A rank mod P equal to min(m, n) proves the rank on its own.
+
+When any step fails (a denominator divisible by P, a reconstruction out of
+bound, embeddings that disagree, or a nonzero residual) the exact ``rref``
+answers instead, so no uncertified result is ever returned.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
 
 from .scalars import CScalar, Scalar
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+# P = 2**62 - 87 is prime with P = 1 (mod 12), so F_P holds the 12th roots
+# of unity.  OMEGA is a primitive one; S3 = OMEGA + OMEGA**11 squares to 3
+# and J = OMEGA**3 squares to -1.
+P = 4611686018427387817
+OMEGA = 3957490443050210331
+S3 = 3424158488519234639
+J = 4490822397581186023
+_BOUND = isqrt(P // 2)  # numerator and denominator bound of reconstruction
+
+# product of the basis elements (1, r3, i, r3 i): (index, factor)
+_TIMES = [
+    [(0, 1), (1, 1), (2, 1), (3, 1)],
+    [(1, 1), (0, 3), (3, 1), (2, 3)],
+    [(2, 1), (3, 1), (0, -1), (1, -1)],
+    [(3, 1), (2, 3), (1, -1), (0, -3)],
+]
 
 
 def zeros(rows, cols):
@@ -103,26 +144,236 @@ def rref(A):
     return R, pivots
 
 
+# -- certified elimination mod P ---------------------------------------------
+
+
+class _Uncertified(Exception):
+    """The answer mod P could not be certified; the exact rref decides."""
+
+
+def _residue(q):
+    den = int(q.denominator)
+    if den == 1:
+        return int(q.numerator) % P
+    if den % P == 0:
+        raise _Uncertified("denominator divisible by P")
+    return int(q.numerator) * pow(den, -1, P) % P
+
+
+def _reconstruct(u):
+    """The rational n/d with |n|, d <= _BOUND and n = u d (mod P)."""
+    if u <= _BOUND:
+        return u
+    if P - u <= _BOUND:
+        return u - P
+    r0, r1, t0, t1 = P, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > _BOUND:
+        raise _Uncertified("reconstruction out of bound")
+    return Fraction(r1, t1)
+
+
+def _rref_mod(M):
+    """Gauss-Jordan mod P on rows of ints, in place; returns the pivots."""
+    rows = len(M)
+    pivots = []
+    r = 0
+    for c in range(len(M[0])):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = pow(M[r][c], -1, P)
+        # the pivot row is zero left of c
+        tail = [x * inv % P for x in M[r][c:]]
+        M[r][c:] = tail
+        for i in range(rows):
+            f = M[i][c]
+            if f and i != r:
+                M[i][c:] = [(x - f * y) % P for x, y in zip(M[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+class _Field:
+    """The entries of a matrix split into exact components over the basis
+    (1, r3, i, r3 i), with their images under each embedding into F_P."""
+
+    def __init__(self, A):
+        self.parts = {}  # entry -> (a, b, c, d)
+        self.is_complex = False
+        images = {}
+        for row in A:
+            for x in row:
+                if x and x not in self.parts:
+                    if type(x) is Scalar:
+                        self.parts[x] = (x.a, x.b, 0, 0)
+                    elif type(x) is CScalar:
+                        self.parts[x] = (x.re.a, x.re.b, x.im.a, x.im.b)
+                        self.is_complex = True
+                    else:
+                        raise _Uncertified(f"entry of type {type(x).__name__}")
+                    images[x] = [_residue(q) for q in self.parts[x]]
+        r3 = any(p[1] or p[3] for p in self.parts.values())
+        im = any(p[2] or p[3] for p in self.parts.values())
+        self.comps = [k for k, on in enumerate((True, r3, im, r3 and im)) if on]
+        # embeddings r3 -> es*S3, i -> ej*J, as sign pairs (es, ej)
+        self.signs = [(es, ej) for ej in (1, -1)[: 1 + im] for es in (1, -1)[: 1 + r3]]
+        self.images = {}
+        for x, (a, b, c, d) in images.items():
+            self.images[x] = [
+                (a + es * S3 * b + ej * J * (c + es * S3 * d)) % P
+                for es, ej in self.signs
+            ]
+        # component k is sum_e sign_k(e) image(e) / (number of embeddings *
+        # root_k), with sign_k(e) = 1, es, ej, es*ej and root_k = 1, S3, J, S3*J
+        n = len(self.signs)
+        roots = (1, S3, J, S3 * J)
+        self.unmix = {k: pow(n * roots[k] % P, -1, P) for k in self.comps}
+
+    def reduced(self, A, k):
+        """A under embedding k, as rows of ints mod P."""
+        images = self.images
+        return [[images[x][k] if x else 0 for x in row] for row in A]
+
+    def components(self, values):
+        """Exact components (a, b, c, d) of the element whose images under
+        the embeddings are the given residues."""
+        out = [0, 0, 0, 0]
+        for k, inv in self.unmix.items():
+            s = sum((1, es, ej, es * ej)[k] * u for (es, ej), u in zip(self.signs, values))
+            out[k] = _reconstruct(s * inv % P)
+        return out
+
+    def element(self, parts):
+        a, b, c, d = parts
+        if self.is_complex:
+            return CScalar(Scalar(a, b), Scalar(c, d))
+        return Scalar(a, b)
+
+
+def _certify(field, A, pivots, columns):
+    """Check A[:, f] == sum_c x_c A[:, c] exactly for every free column f
+    with its rebuilt entries {pivot column c: parts of x_c}.  Each row is
+    scaled to integer components and only its nonzero entries are read."""
+    piv_set = set(pivots)
+    rows = []
+    for row in A:
+        parts = {c: field.parts[x] for c, x in enumerate(row) if x}
+        scale = lcm(*(int(q.denominator) for p in parts.values() for q in p))
+        ints = {c: [int(q * scale) for q in p] for c, p in parts.items()}
+        terms = []  # per component: pivot columns and values
+        for k in field.comps:
+            pairs = [(c, v[k]) for c, v in ints.items() if v[k] and c in piv_set]
+            if pairs:
+                terms.append((k, [c for c, _ in pairs], [v for _, v in pairs]))
+        rows.append((ints, terms))
+    n = len(A[0])
+    for f, entries in columns.items():
+        scale = lcm(*(int(q.denominator) for p in entries.values() for q in p))
+        w = {}
+        for k in field.comps:
+            if any(p[k] for p in entries.values()):
+                w[k] = [0] * n
+                for c, p in entries.items():
+                    w[k][c] = int(p[k] * scale)
+        for ints, terms in rows:
+            target = ints.get(f)
+            acc = [-scale * t for t in target] if target else [0, 0, 0, 0]
+            for ka, cols, vals in terms:
+                for kb, wk in w.items():
+                    dot = sum(map(mul, vals, map(wk.__getitem__, cols)))
+                    if dot:
+                        kc, factor = _TIMES[ka][kb]
+                        acc[kc] += factor * dot
+            if any(acc):
+                raise _Uncertified("residual is not zero")
+
+
+def _modular_reduced(A, rank_only=False):
+    """Certified (pivots, columns) of the RREF of A, where columns maps each
+    free column f to {pivot column: R[row][f]}.  With rank_only, a rank
+    mod P of min(m, n) returns (pivots, None) at once: it proves the rank
+    but not the pivots."""
+    m, n = len(A), len(A[0])
+    field = _Field(A)
+    reduced = [field.reduced(A, 0)]
+    pivots = _rref_mod(reduced[0])
+    if rank_only and len(pivots) == min(m, n):
+        return pivots, None
+    for k in range(1, len(field.signs)):
+        reduced.append(field.reduced(A, k))
+        if _rref_mod(reduced[k]) != pivots:
+            raise _Uncertified("embeddings disagree on the pivots")
+    piv_set = set(pivots)
+    parts = {}
+    for f in range(n):
+        if f in piv_set:
+            continue
+        parts[f] = {}
+        for r, c in enumerate(pivots):
+            if c > f:
+                break
+            values = [R[r][f] for R in reduced]
+            if any(values):
+                parts[f][c] = field.components(values)
+    _certify(field, A, pivots, parts)
+    columns = {
+        f: {c: field.element(p) for c, p in entries.items()}
+        for f, entries in parts.items()
+    }
+    return pivots, columns
+
+
+def _reduced(A):
+    """Pivot columns of the RREF of A and, for each free column f, its
+    nonzero entries R[row][f] keyed by the pivot column of the row."""
+    if A and A[0]:
+        try:
+            return _modular_reduced(A)
+        except _Uncertified:
+            pass
+    R, pivots = rref(A)
+    piv_set = set(pivots)
+    cols = len(A[0]) if A else 0
+    columns = {
+        f: {c: R[r][f] for r, c in enumerate(pivots) if R[r][f]}
+        for f in range(cols)
+        if f not in piv_set
+    }
+    return pivots, columns
+
+
 def rank(A):
     if not A or not A[0]:
         return 0
-    return len(rref(A)[1])
+    if len(A[0]) > len(A):
+        A = transpose(A)  # fewer kernel vectors to certify
+    try:
+        return len(_modular_reduced(A, rank_only=True)[0])
+    except _Uncertified:
+        return len(rref(A)[1])
 
 
 def nullspace(A, ncols=None):
     """Basis of the right kernel, as a list of column vectors."""
     if not A:
         return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols or 0)]
-    R, pivots = rref(A)
+    _, columns = _reduced(A)
     cols = len(A[0])
-    piv_set = set(pivots)
-    free = [c for c in range(cols) if c not in piv_set]
     basis = []
-    for f in free:
+    for f, entries in columns.items():
         v = [ZERO] * cols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
+        for c, x in entries.items():
+            v[c] = -x
         basis.append(v)
     return basis
 
@@ -132,12 +383,12 @@ def solve(A, b):
     rows = len(A)
     cols = len(A[0]) if rows else 0
     aug = [A[r][:] + [b[r]] for r in range(rows)]
-    R, pivots = rref(aug)
+    pivots, columns = _reduced(aug)
     if cols in pivots:
         return None
     x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        x[c] = R[r][cols]
+    for c, val in columns.get(cols, {}).items():  # absent when A has no rows
+        x[c] = val
     return x
 
 
@@ -167,8 +418,7 @@ def column_space_basis(vectors):
     """Subset basis of the span of the given (column) vectors."""
     if not vectors:
         return []
-    A = transpose(vectors)  # vectors as columns
-    _, pivots = rref(A)
+    pivots, _ = _reduced(transpose(vectors))  # vectors as columns
     return [vectors[c] for c in pivots]
 
 

@@ -138,15 +138,21 @@ class BracketTable:
         return not self.c
 
     def jacobi_holds(self):
-        """Brute-force Jacobi identity on basis triples."""
-        for i, j, k in combinations(range(8), 3):
-            ei = [ONE if t == i else ZERO for t in range(8)]
-            ej = [ONE if t == j else ZERO for t in range(8)]
-            ek = [ONE if t == k else ZERO for t in range(8)]
-            s = self.bracket(self.bracket(ei, ej), ek)
-            s = [x + y for x, y in zip(s, self.bracket(self.bracket(ej, ek), ei))]
-            s = [x + y for x, y in zip(s, self.bracket(self.bracket(ek, ei), ej))]
-            if any(s):
+        """Jacobi identity in index form: with [e_i, e_j] = sum_t c_ijt e_t,
+        sum_t c_ijt c_tkl + c_jkt c_til + c_kit c_tjl = 0 for all i<j<k, l."""
+        # nonzero c_ijt per ordered pair (i, j), as (t, c_ijt)
+        nonzero = {(i, j): [] for i in range(1, 9) for j in range(1, 9)}
+        for (i, j, k), v in self.c.items():
+            for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                nonzero[a, b].append((t, v))
+                nonzero[b, a].append((t, -v))
+        for i, j, k in combinations(range(1, 9), 3):
+            acc = {}
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, v in nonzero[a, b]:
+                    for l, w in nonzero[t, d]:
+                        acc[l] = acc.get(l, ZERO) + v * w
+            if any(acc.values()):
                 return False
         return True
 
@@ -251,6 +257,9 @@ class OrbitClass:
             and self.params == other.params
         )
 
+    def __hash__(self):
+        return hash((self.kind, self.orientation, self.params))
+
     def __repr__(self):
         bits = [self.kind]
         if self.orientation:
@@ -284,9 +293,10 @@ def _l2_params(b):
 def orbit_classify(rho):
     if not rho.is_homogeneous(3):
         raise OrbitError("expected a 3-form")
-    if not is_supersymmetric(rho):
+    induced = form_to_map(rho)
+    if not induced.is_isometry():
         return OrbitClass("NotSupersymmetric")
-    orientation = "preserving" if form_to_map(rho).det() == ONE else "reversing"
+    orientation = "preserving" if induced.det() == ONE else "reversing"
     b = bracket_from_form(rho)
     center_dim, _, _ = lie_classify(b)
     if center_dim == 0:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from triality8 import linalg as la
 from triality8.claims import _pythagorean_rotation, _random_unit_3form
 from triality8.exterior import Multivector, apply_linear, blades_of_grade
 from triality8.orbits import (
+    OrbitClass,
     OrbitError,
     bracket_from_form,
     form_from_bracket,
@@ -15,7 +17,7 @@ from triality8.orbits import (
     lie_classify,
     orbit_classify,
 )
-from triality8.scalars import ONE, SQRT3, Scalar, half
+from triality8.scalars import ONE, SQRT3, ZERO, Scalar, half
 
 e = Multivector.blade
 
@@ -118,3 +120,40 @@ def test_jac_jacobi_equivalence_sparse():
     for _ in range(30):
         r = rand3(rng)
         assert jac(r, r).is_zero() == bracket_from_form(r).jacobi_holds()
+
+
+def jacobi_brute(b):
+    """The Jacobi identity on basis triples through three nested brackets:
+    the oracle for the index form of BracketTable.jacobi_holds."""
+    for i, j, k in combinations(range(8), 3):
+        ei, ej, ek = ([ONE if t == u else ZERO for t in range(8)] for u in (i, j, k))
+        s = b.bracket(b.bracket(ei, ej), ek)
+        s = [x + y for x, y in zip(s, b.bracket(b.bracket(ej, ek), ei))]
+        s = [x + y for x, y in zip(s, b.bracket(b.bracket(ek, ei), ej))]
+        if any(s):
+            return False
+    return True
+
+
+def test_jacobi_index_form_matches_brute_force(rho):
+    rng = random.Random(17)
+    models = [rho, e(1, 2, 3), e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 6) * half()]
+    forms = models + [e(1, 2, 3) + e(1, 4, 5)]
+    forms += [apply_linear(_pythagorean_rotation(rng), models[n % 3]) for n in range(3)]
+    forms += [_random_unit_3form(rng) for _ in range(12)]
+    forms += [rand3(rng) for _ in range(12)]
+    verdicts = [jacobi_brute(bracket_from_form(f)) for f in forms]
+    assert [bracket_from_form(f).jacobi_holds() for f in forms] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+def test_orbit_class_hash_agrees_with_eq(rho):
+    params = (Scalar(3) / 4, Scalar(1) / 4)
+    a = OrbitClass("L2_su2su2_u1", "preserving", params)
+    b = OrbitClass("L2_su2su2_u1", "preserving", (Scalar(3) / 4, ONE / 4))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, OrbitClass("NotSupersymmetric")}) == 2
+    M = _pythagorean_rotation(random.Random(3))
+    ref = orbit_classify(rho)
+    got = orbit_classify(apply_linear(M, rho))
+    assert got == ref and hash(got) == hash(ref)
