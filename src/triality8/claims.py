@@ -34,7 +34,7 @@ from .exterior import (
     to_vector,
 )
 from .orbits import bracket_from_form, gamma, jac, orbit_classify
-from .scalars import CScalar, I, ONE, SQRT3, Scalar
+from .scalars import Frozen, I, ONE, SQRT3, Scalar
 from .structures import (
     L2_MASKS,
     betti,
@@ -57,7 +57,7 @@ DEFAULT_SEED = 20260826
 e = Multivector.blade
 
 
-class Claim:
+class Claim(Frozen):
     """A named exact check: runner returns a formatted actual value which
     must equal the frozen expected string."""
 
@@ -71,11 +71,8 @@ class Claim:
         object.__setattr__(self, "criteria", tuple(criteria))
         object.__setattr__(self, "seeded", bool(seeded))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Claim is immutable")
 
-
-class ClaimReport:
+class ClaimReport(Frozen):
     __slots__ = ("id", "anchor", "status", "expected", "actual", "runtime_ms")
 
     def __init__(self, id, anchor, status, expected, actual, runtime_ms):
@@ -85,9 +82,6 @@ class ClaimReport:
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "actual", actual)
         object.__setattr__(self, "runtime_ms", int(runtime_ms))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ClaimReport is immutable")
 
     def as_dict(self):
         return {
@@ -203,14 +197,6 @@ def _random_unit_3form(rng):
     for m, c in zip(masks, coeffs):
         terms[m] = c if rng.random() < 0.5 else -c
     return Multivector(terms)
-
-
-def _random_sparse_3form(rng):
-    out = Multivector.zero()
-    for _ in range(4):
-        m = rng.choice(blades_of_grade(3))
-        out = out + Multivector({m: Scalar(rng.randint(-3, 3))})
-    return out
 
 
 # -- Clifford model ---------------------------------------------------------

@@ -12,8 +12,8 @@ Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 from __future__ import annotations
 
 from . import linalg as la
-from .exterior import Multivector, grade, indices_of
-from .scalars import Scalar, half
+from .exterior import Multivector, indices_of
+from .scalars import Frozen, Scalar, half
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -55,7 +55,7 @@ _TABLE = [
 ]
 
 
-class Octonion:
+class Octonion(Frozen):
     """Element of the octonions, 8 Scalar coordinates."""
 
     __slots__ = ("coords",)
@@ -67,9 +67,6 @@ class Octonion:
         if len(cs) != 8:
             raise ValueError("octonion needs 8 coordinates")
         object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Octonion is immutable")
 
     @classmethod
     def basis(cls, a):
@@ -136,7 +133,7 @@ def right_mult_matrix(u):
     return M
 
 
-class Spinor:
+class Spinor(Frozen):
     """Chirality-tagged spinor, 8 Scalar/CScalar coordinates."""
 
     __slots__ = ("chirality", "coords")
@@ -146,9 +143,6 @@ class Spinor:
             raise ValueError("chirality must be '+' or '-'")
         object.__setattr__(self, "chirality", chirality)
         object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Spinor is immutable")
 
     @classmethod
     def basis(cls, chirality, a):
@@ -200,7 +194,7 @@ class Spinor:
 _TAGS = ("v", "+", "-")  # Lambda^1, D+, D-
 
 
-class SpinorMap:
+class SpinorMap(Frozen):
     """8x8 exact matrix between chirality-tagged spaces (or Lambda^1)."""
 
     __slots__ = ("matrix", "source", "target")
@@ -211,9 +205,6 @@ class SpinorMap:
         object.__setattr__(self, "matrix", [row[:] for row in matrix])
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SpinorMap is immutable")
 
     @classmethod
     def identity(cls, tag):
@@ -336,24 +327,6 @@ def block(M, target, source):
     r0 = 0 if target == "+" else 8
     c0 = 0 if source == "+" else 8
     return [[M[r0 + r][c0 + c] for c in range(8)] for r in range(8)]
-
-
-def clifford_apply(M, psi):
-    """Apply a 16x16 Clifford matrix to a chirality-tagged spinor.
-
-    Returns a Spinor when the image lies in a single chirality block,
-    else a plain 16-vector.
-    """
-    v16 = [ZERO] * 16
-    off = 0 if psi.chirality == "+" else 8
-    for t, c in enumerate(psi.coords):
-        v16[off + t] = c
-    w = la.mat_vec(M, v16)
-    if all(not x for x in w[8:]):
-        return Spinor("+", w[:8])
-    if all(not x for x in w[:8]):
-        return Spinor("-", w[8:])
-    return w
 
 
 def form_to_map(rho):

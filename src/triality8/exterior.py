@@ -7,7 +7,7 @@ positive volume form.
 
 from __future__ import annotations
 
-from .scalars import CScalar, ParseError, Scalar, parse_scalar
+from .scalars import CScalar, Frozen, ParseError, Scalar, parse_scalar
 
 N = 8
 VOLUME = (1 << N) - 1
@@ -46,15 +46,13 @@ def blades_of_grade(k):
 def _wedge_sign(m1, m2):
     # (-1)^{#{(a,b): a in m1, b in m2, a > b}}
     count = 0
-    lower = 0
     for bit in range(N):
         if m2 >> bit & 1:
             count += bin(m1 & ~((1 << (bit + 1)) - 1)).count("1")
-    _ = lower
     return -1 if count & 1 else 1
 
 
-class Multivector:
+class Multivector(Frozen):
     """Sparse graded element of Lambda* R^8."""
 
     __slots__ = ("terms",)
@@ -66,9 +64,6 @@ class Multivector:
                 if c:
                     cleaned[m] = c
         object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Multivector is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -94,9 +89,6 @@ class Multivector:
         if k is None:
             return len(gs) <= 1
         return gs == [] or gs == [k]
-
-    def grade_part(self, k):
-        return Multivector({m: c for m, c in self.terms.items() if grade(m) == k})
 
     def coeff(self, *indices):
         return self.terms.get(mask_of(indices), ZERO)
@@ -308,6 +300,20 @@ def apply_linear(M, mv):
             if part.is_zero():
                 break
         out = out + part
+    return out
+
+
+def antiderivation(alpha, images):
+    """Extend e_i |-> images[i - 1] to alpha as a graded anti-derivation:
+    e_{i1..ik} |-> sum_t (-1)^t e_{i1..i(t-1)} ^ images(e_it) ^ e_{i(t+1)..ik}."""
+    out = Multivector.zero()
+    for m, coef in alpha.terms.items():
+        ix = indices_of(m)
+        for t, i in enumerate(ix):
+            c = coef if t % 2 == 0 else -coef
+            lead = Multivector({mask_of(ix[:t]): c})
+            tail = Multivector({mask_of(ix[t + 1 :]): ONE})
+            out = out + ((lead ^ images[i - 1]) ^ tail)
     return out
 
 

@@ -13,25 +13,22 @@ reproduces the structure equations verbatim.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import linalg as la
 from .clifford import Spinor, block, kappa
-from .exterior import Multivector, indices_of, mask_of
+from .exterior import Multivector, antiderivation, indices_of, mask_of
 from .orbits import bracket_from_form
-from .scalars import SQRT3, Scalar, half
-from .structures import canonical_omega, canonical_rho, sigma_canonical
+from .scalars import Frozen, Scalar, half
+from .structures import canonical_rho, sigma_canonical
 from .torsion import TorsionTensor, _form_action, gkind
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 class FrameError(ValueError):
     pass
 
 
-class FrameAlgebra:
+class FrameAlgebra(Frozen):
     """Structure coefficients of an orthonormal frame."""
 
     __slots__ = ("brackets", "constant_structure", "note")
@@ -48,9 +45,6 @@ class FrameAlgebra:
         object.__setattr__(self, "brackets", cleaned)
         object.__setattr__(self, "constant_structure", bool(constant_structure))
         object.__setattr__(self, "note", note)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FrameAlgebra is immutable")
 
     def bracket(self, i, j):
         """[e_i, e_j] as a grade-1 multivector."""
@@ -100,16 +94,7 @@ class FrameAlgebra:
 def coframe_d(alpha, F):
     """Exterior differential of a constant-coefficient form, extended
     from the coframe differentials as an anti-derivation."""
-    imgs = F.d_images
-    out = Multivector.zero()
-    for m, coef in alpha.terms.items():
-        ix = indices_of(m)
-        for t, i in enumerate(ix):
-            c = coef if t % 2 == 0 else -coef
-            lead = Multivector({mask_of(ix[:t]): c})
-            tail = Multivector({mask_of(ix[t + 1 :]): ONE})
-            out = out + ((lead ^ imgs[i - 1]) ^ tail)
-    return out
+    return antiderivation(alpha, F.d_images)
 
 
 def codifferential(alpha, F):
@@ -117,7 +102,7 @@ def codifferential(alpha, F):
     return -(coframe_d(alpha.star(), F).star())
 
 
-class Connection:
+class Connection(Frozen):
     """Metric-compatible connection: nabla_{e_i} acts on Lambda^1 as the
     2-form A_i = sum_{j<k} Gamma_ijk e_j ^ e_k (derivation action)."""
 
@@ -128,9 +113,6 @@ class Connection:
         if len(fs) != 8 or any(not a.is_homogeneous(2) for a in fs):
             raise FrameError("need 8 connection 2-forms")
         object.__setattr__(self, "forms", fs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Connection is immutable")
 
     def gamma(self, i, j, k):
         """Coefficient of e_k in nabla_{e_i} e_j."""

@@ -438,5 +438,28 @@ def same_span(basis1, basis2):
     )
 
 
-def complexify_matrix(A):
-    return [[x if isinstance(x, CScalar) else CScalar(x) for x in row] for row in A]
+class RatioError(ArithmeticError):
+    """No single exact ratio relates the two sides."""
+
+
+def common_ratio(pairs):
+    """The single scalar z with num == z * den for every (num, den) pair.
+
+    Real and complex entries may be mixed.  Raises RatioError naming the
+    failure: a zero den against a nonzero num, two pairs whose ratios
+    disagree, or every pair zero on both sides.
+    """
+    z = None
+    for num, den in pairs:
+        if not den:
+            if num:
+                raise RatioError("zero against nonzero")
+            continue
+        r = num / den
+        if z is None:
+            z = r
+        elif z != r:
+            raise RatioError("entries disagree")
+    if z is None:
+        raise RatioError("both sides vanish")
+    return z

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import Frozen
 
-class CharData:
+
+class CharData(Frozen):
     """Characteristic data of a closed oriented 8-manifold: Pontrjagin
     pairings p1^2[M] and p2[M], the Euler number, the signature, and the
     class-level flags that cannot be recovered from pairings alone."""
@@ -52,9 +54,6 @@ class CharData:
             "spin",
         ):
             object.__setattr__(self, name, bool(locals()[name]))
-
-    def __setattr__(self, *args):
-        raise AttributeError("CharData is immutable")
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)}" for n in self.__slots__)

@@ -9,12 +9,12 @@ center dimension of the extracted bracket.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg as la
 from .clifford import SpinorMap, block, form_to_map, kappa_form
 from .exterior import Multivector, mask_of
-from .scalars import Scalar, ScalarError
+from .scalars import Frozen, Scalar
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -24,19 +24,30 @@ class OrbitError(ValueError):
     pass
 
 
+def _triple_table():
+    """(i, j, k) -> (sign, sorted triple, its blade mask) for every index
+    triple in 1..8; the sign is the parity of the permutation sorting
+    (i, j, k), and 0 when an index repeats."""
+    table = {}
+    for t in product(range(1, 9), repeat=3):
+        key = tuple(sorted(t))
+        if len(set(t)) < 3:
+            table[t] = (0, key, None)
+        else:
+            odd = sum(a > b for a, b in combinations(t, 2)) % 2
+            table[t] = (-1 if odd else 1, key, mask_of(key))
+    return table
+
+
+_TRIPLES = _triple_table()
+
+
 def coeff3(rho, i, j, k):
     """Fully antisymmetric coefficient rho_{ijk} for arbitrary index order."""
-    if i == j or j == k or i == k:
+    sign, _, mask = _TRIPLES[i, j, k]
+    if not sign:
         return ZERO
-    order = sorted((i, j, k))
-    sign = 1
-    # parity of the permutation taking (i,j,k) to sorted order
-    perm = [i, j, k]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                sign = -sign
-    c = rho.terms.get(mask_of(order), ZERO)
+    c = rho.terms.get(mask, ZERO)
     return c if sign > 0 else -c
 
 
@@ -84,7 +95,7 @@ def is_supersymmetric(rho):
     return form_to_map(rho).is_isometry()
 
 
-class BracketTable:
+class BracketTable(Frozen):
     """Totally antisymmetric structure constants of an adapted bracket."""
 
     __slots__ = ("c",)
@@ -100,19 +111,11 @@ class BracketTable:
                 cleaned[key] = v
         object.__setattr__(self, "c", cleaned)
 
-    def __setattr__(self, *args):
-        raise AttributeError("BracketTable is immutable")
-
     def coeff(self, i, j, k):
-        if i == j or j == k or i == k:
+        sign, key, _ = _TRIPLES[i, j, k]
+        if not sign:
             return ZERO
-        perm = [i, j, k]
-        sign = 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        v = self.c.get(tuple(sorted(perm)), ZERO)
+        v = self.c.get(key, ZERO)
         return v if sign > 0 else -v
 
     def bracket(self, x, y):
@@ -233,7 +236,7 @@ def sum_scalar(items):
     return s
 
 
-class OrbitClass:
+class OrbitClass(Frozen):
     __slots__ = ("kind", "orientation", "params")
 
     KINDS = ("L1_psu3", "L2_su2su2_u1", "L3_sp1sp2", "NotSupersymmetric")
@@ -244,9 +247,6 @@ class OrbitClass:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "params", params)
-
-    def __setattr__(self, *args):
-        raise AttributeError("OrbitClass is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, OrbitClass):

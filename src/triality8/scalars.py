@@ -10,22 +10,50 @@ from __future__ import annotations
 from fractions import Fraction
 
 try:  # gmpy2.mpq is a large speedup for the big eliminations
-    from gmpy2 import mpq as _mpq
-
-    def _rat(a=0, b=None):
-        return _mpq(a) if b is None else _mpq(a, b)
-except ImportError:  # pragma: no cover
-    def _rat(a=0, b=None):
-        return Fraction(a) if b is None else Fraction(a, b)
-
+    from gmpy2 import mpq as _Rational  # pragma: no cover
+except ImportError:
+    _Rational = Fraction
+_RATIONALS = (int, Fraction, _Rational)
 _SQRT3 = 1.7320508075688772935274463415058723669
+
+
+def _rat(x):
+    """x in the backend's rational type; a float is refused, not rounded."""
+    if type(x) is _Rational:
+        return x
+    if isinstance(x, _RATIONALS):
+        return _Rational(x)
+    raise TypeError(f"exact rational expected, got {type(x).__name__}")
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    Subclasses declare ``__slots__`` and fill them once in ``__init__``
+    through ``object.__setattr__``; afterwards assignment and deletion
+    raise.  ``__setstate__`` refills the slots the same way, so instances
+    pickle (protocol >= 2) and deep-copy.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        _, slots = state
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
 
 
 class ScalarError(ArithmeticError):
     pass
 
 
-class Scalar:
+class Scalar(Frozen):
     """a + b*sqrt(3) with rational a, b."""
 
     __slots__ = ("a", "b")
@@ -34,25 +62,12 @@ class Scalar:
         object.__setattr__(self, "a", _rat(a))
         object.__setattr__(self, "b", _rat(b))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Scalar is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def rational(cls, num, den=1):
-        return cls(_rat(num, den), 0)
-
-    @classmethod
-    def sqrt3(cls):
-        return cls(0, 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(_rat()):
+        if isinstance(other, _RATIONALS):
             return Scalar(other, 0)
         return None
 
@@ -115,9 +130,6 @@ class Scalar:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def is_rational(self):
-        return self.b == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -128,7 +140,8 @@ class Scalar:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational value hashes as the rational, like the int it equals
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def sign(self):
         """Sign of the real value a + b*sqrt(3)."""
@@ -193,7 +206,7 @@ def _rational_sqrt(q):
     rn, rd = _isqrt(n), _isqrt(d)
     if rn is None or rd is None:
         return None
-    return _rat(rn, rd)
+    return _Rational(rn, rd)
 
 
 def _isqrt(n):
@@ -203,7 +216,7 @@ def _isqrt(n):
     return r if r * r == n else None
 
 
-class CScalar:
+class CScalar(Frozen):
     """re + im*i with re, im in Q(r3)."""
 
     __slots__ = ("re", "im")
@@ -212,15 +225,12 @@ class CScalar:
         object.__setattr__(self, "re", re if isinstance(re, Scalar) else Scalar(re))
         object.__setattr__(self, "im", im if isinstance(im, Scalar) else Scalar(im))
 
-    def __setattr__(self, *args):
-        raise AttributeError("CScalar is immutable")
-
     def _coerce(self, other):
         if isinstance(other, CScalar):
             return other
         if isinstance(other, Scalar):
             return CScalar(other, Scalar(0))
-        if isinstance(other, (int, Fraction)) or type(other) is type(_rat()):
+        if isinstance(other, _RATIONALS):
             return CScalar(Scalar(other), Scalar(0))
         return None
 
@@ -295,7 +305,8 @@ class CScalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the Scalar it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"CScalar({self.re!r}, {self.im!r})"
@@ -311,11 +322,11 @@ I = CScalar(Scalar(0), Scalar(1))
 
 
 def half(n=1):
-    return Scalar(_rat(n, 2))
+    return Scalar(_Rational(n, 2))
 
 
 def quarter(n=1):
-    return Scalar(_rat(n, 4))
+    return Scalar(_Rational(n, 4))
 
 
 def complexify(s):
@@ -371,7 +382,7 @@ def parse_scalar(text):
             sign = -sign
         if den is not None and int(den) == 0:
             raise ParseError("zero denominator", pos)
-        q = _rat(int(num), int(den) if den else 1)
+        q = _Rational(int(num), int(den) if den else 1)
         val = Scalar(0, sign * q) if r3 else Scalar(sign * q, 0)
         terms.append((val, bool(imag)))
         pos = skip_ws(m.end())

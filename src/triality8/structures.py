@@ -14,15 +14,15 @@ from . import linalg as la
 from .clifford import SpinorMap
 from .exterior import (
     Multivector,
+    antiderivation,
     blades_of_grade,
     from_vector,
-    grade,
     indices_of,
     mask_of,
     to_vector,
 )
 from .orbits import bracket_from_form, coeff3
-from .scalars import CScalar, I, SQRT3, Scalar, complexify, half, quarter
+from .scalars import Frozen, I, SQRT3, Scalar, complexify, half, quarter
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -56,7 +56,7 @@ def canonical_omega():
     return (w_i ^ w_i) + (w_j ^ w_j) + (w_k ^ w_k)
 
 
-class Subspace:
+class Subspace(Frozen):
     """Exact subspace of a coordinatized ambient space."""
 
     __slots__ = ("ambient", "basis", "dim")
@@ -66,9 +66,6 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", len(basis))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subspace is immutable")
 
     def contains(self, vector):
         return la.in_span(self.basis, vector)
@@ -145,17 +142,7 @@ def _c1_images():
 
 def c_apply(alpha):
     """The invariant differential on Lambda*, an anti-derivation."""
-    imgs = _c1_images()
-    out = Multivector.zero()
-    for m, coef in alpha.terms.items():
-        ix = indices_of(m)
-        for t, i in enumerate(ix):
-            # (-1)^t e_{i1..t-1} ^ c1(e_it) ^ e_{it+1..}
-            c = coef if t % 2 == 0 else -coef
-            lead = Multivector({mask_of(ix[:t]): c})
-            tail = Multivector({mask_of(ix[t + 1 :]): ONE})
-            out = out + ((lead ^ imgs[i - 1]) ^ tail)
-    return out
+    return antiderivation(alpha, _c1_images())
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +345,7 @@ def sigma_canonical(kind, chirality):
 # -- root and weight data --------------------------------------------------
 
 
-class RootData:
+class RootData(Frozen):
     __slots__ = ("kind", "torus", "weight_vectors", "extras")
 
     def __init__(self, kind, torus, weight_vectors, extras):
@@ -366,9 +353,6 @@ class RootData:
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "weight_vectors", weight_vectors)
         object.__setattr__(self, "extras", extras)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RootData is immutable")
 
 
 def _cvec(*pairs):
@@ -447,33 +431,22 @@ def _bracket_mv(b, x, y):
 
 def weight_eigen_check(kind):
     """Each weight vector is an exact eigenvector of every torus generator
-    under the so(8)-action; returns {name: {torus_name: eigenvalue}}."""
+    under the so(8)-action; returns {name: {torus_name: eigenvalue}}, with
+    None where a weight vector is not an eigenvector."""
     rd = roots(kind)
     report = {}
     for name, w in rd.weight_vectors.items():
         evs = {}
         for tname, t in rd.torus.items():
             img = t.act2(w)
-            ev = _eigen_ratio(img, w)
-            evs[tname] = ev
+            pairs = [(img.terms.get(m, ZERO), w.terms.get(m, ZERO))
+                     for m in img.terms.keys() | w.terms.keys()]
+            try:
+                evs[tname] = la.common_ratio(pairs)
+            except la.RatioError:
+                evs[tname] = None
         report[name] = evs
     return report
-
-
-def _eigen_ratio(img, w):
-    """img = c*w exactly, or None."""
-    ratio = None
-    for m, c in w.terms.items():
-        v = img.terms.get(m, Scalar(0))
-        r = complexify(v) / complexify(c)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    for m in img.terms:
-        if m not in w.terms:
-            return None
-    return ratio
 
 
 # -- calibrations ----------------------------------------------------------

@@ -17,6 +17,7 @@ structure-constant complex.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from . import linalg as la
 from .clifford import SpinorMap, act2_svf, block, form_to_map, kappa_form, mu
@@ -27,7 +28,7 @@ from .exterior import (
     mask_of,
     to_vector,
 )
-from .scalars import CScalar, I, SQRT3, Scalar, complexify
+from .scalars import Frozen, I, SQRT3, Scalar
 from .structures import (
     L2_MASKS,
     Subspace,
@@ -49,7 +50,7 @@ class TorsionError(ValueError):
     pass
 
 
-class GKind:
+class GKind(Frozen):
     """Invariant data of one of the two geometries: the form, its
     stabilizer g, the complement g-perp and the slot-2 projection."""
 
@@ -66,9 +67,6 @@ class GKind:
         object.__setattr__(self, "gperp_forms", gperp_forms)
         object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "chiralities", chiralities)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GKind is immutable")
 
     def __repr__(self):
         return f"GKind({self.kind!r})"
@@ -103,7 +101,7 @@ def _project_slot(kind, a):
     return project2(a, sel)
 
 
-class TorsionTensor:
+class TorsionTensor(Frozen):
     """Element of Lambda^1 (x) Lambda^2; slot i holds the 2-form paired
     with e_{i+1}.  Only the g-perp part of each slot is meaningful: every
     operator projects the slots first."""
@@ -120,9 +118,6 @@ class TorsionTensor:
                 raise TorsionError("slots must be 2-forms")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "slots", ss)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TorsionTensor is immutable")
 
     @classmethod
     def zero(cls, kind):
@@ -316,21 +311,6 @@ def _l_raw(tau):
     return _pair_to_l3(Dhat(T, "+"), sigma)
 
 
-def _mv_ratio(img, w):
-    """The scalar s with img = s * w exactly, or None."""
-    s = None
-    for m, c in w.terms.items():
-        r = img.terms.get(m, ZERO) / c
-        if s is None:
-            s = r
-        elif s != r:
-            return None
-    for m in img.terms:
-        if m not in w.terms:
-            return None
-    return s
-
-
 @lru_cache(maxsize=None)
 def _l_scale():
     # single loose normalization, calibrated so that the embedded image
@@ -338,8 +318,13 @@ def _l_scale():
     # then forced
     t1 = Multivector.blade(1).contract(canonical_omega())
     raw = _l_raw(t1)
-    s = _mv_ratio(raw, t1)
-    if s is None or not s:
+    pairs = [(raw.terms.get(m, ZERO), t1.terms.get(m, ZERO))
+             for m in raw.terms.keys() | t1.terms.keys()]
+    try:
+        s = la.common_ratio(pairs)
+    except la.RatioError:
+        s = ZERO
+    if not s:
         raise TorsionError("calibration vector is not an eigenvector")
     return Scalar(2) / s
 
@@ -440,31 +425,6 @@ def _rho_block(source):
     return SpinorMap(la.transpose(R), "+", "-")
 
 
-def _entry_ratio(pairs):
-    """The single scalar z with num = z * den across all pairs."""
-    z = None
-    for num, den in pairs:
-        num, den = complexify(num), complexify(den)
-        if not den:
-            if num:
-                raise TorsionError("no common ratio: zero against nonzero")
-            continue
-        r = num / den
-        if z is None:
-            z = r
-        elif z != r:
-            raise TorsionError("no common ratio: entries disagree")
-    if z is None:
-        raise TorsionError("no common ratio: both sides vanish")
-    return z
-
-
-def _matrix_ratio(A, B):
-    return _entry_ratio(
-        [(A.matrix[r][c], B.matrix[r][c]) for r in range(8) for c in range(8)]
-    )
-
-
 @lru_cache(maxsize=None)
 def z_constants():
     """The two Schur constants of the 3-form geometry relating the two
@@ -478,7 +438,8 @@ def z_constants():
     T = TorsionTensor("PSU3", slots)
     Dp = Dhat(T, "+")
     Dm = Dhat(T, "-")
-    z22 = _matrix_ratio(Dm, _rho_block(Dp.target) @ Dp)
+    R = _rho_block(Dp.target) @ Dp
+    z22_pairs = zip(chain.from_iterable(Dm.matrix), chain.from_iterable(R.matrix))
     # the [1,1]-type module, isolated by Clifford contraction
     slots = [Multivector.zero() for _ in range(8)]
     slots[0] = _project_slot10(e(1, 8)) * (SQRT3 * 2 * I)
@@ -486,8 +447,10 @@ def z_constants():
     sp = mu(Dhat(T, "-"))
     sm = mu(Dhat(T, "+"))
     mapped = _rho_block(sm.chirality).apply(sm)
-    z11 = _entry_ratio(list(zip(sp.coords, mapped)))
-    return z22, z11
+    try:
+        return la.common_ratio(z22_pairs), la.common_ratio(zip(sp.coords, mapped))
+    except la.RatioError as exc:
+        raise TorsionError(f"no common ratio: {exc}") from exc
 
 
 def _project_slot10(a):

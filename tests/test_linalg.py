@@ -249,3 +249,36 @@ def test_modulus_constants():
     assert pow(w, 12, P) == 1 and pow(w, 4, P) != 1 and pow(w, 6, P) != 1
     assert la.S3 == (w + pow(w, 11, P)) % P and la.S3 * la.S3 % P == 3
     assert la.J == pow(w, 3, P) and la.J * la.J % P == P - 1
+
+
+def test_common_ratio_reports_each_failure():
+    with pytest.raises(la.RatioError, match="^zero against nonzero$"):
+        la.common_ratio([(ONE, ONE), (SQRT3, ZERO)])
+    with pytest.raises(la.RatioError, match="^entries disagree$"):
+        la.common_ratio([(ONE, ONE), (Scalar(2), ONE)])
+    with pytest.raises(la.RatioError, match="^both sides vanish$"):
+        la.common_ratio([(ZERO, ZERO), (CScalar(0), ZERO)])
+    with pytest.raises(la.RatioError, match="^both sides vanish$"):
+        la.common_ratio([])
+
+
+def test_common_ratio_mixes_real_and_complex():
+    z = CScalar(ONE, SQRT3) / 8
+    pairs = [(ZERO, ZERO), (z * 3, Scalar(3)), (z * I, I), (z * CScalar(1, 2), CScalar(1, 2))]
+    assert la.common_ratio(pairs) == z
+    real = [(Scalar(2), CScalar(1)), (CScalar(4), Scalar(2)), (ZERO, CScalar(0))]
+    assert la.common_ratio(real) == Scalar(2)
+    with pytest.raises(la.RatioError, match="^entries disagree$"):
+        la.common_ratio([(ONE, ONE), (I, ONE)])
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), min_size=1, max_size=6),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_common_ratio_recovers_the_factor(dens, a, b):
+    z = CScalar(Scalar(a), Scalar(b))
+    pairs = [(z * CScalar(Scalar(p), Scalar(q)), CScalar(Scalar(p), Scalar(q))) for p, q in dens]
+    if all(p == 0 and q == 0 for p, q in dens):
+        with pytest.raises(la.RatioError):
+            la.common_ratio(pairs)
+    else:
+        assert la.common_ratio(pairs) == z

@@ -1,15 +1,17 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from triality8 import linalg as la
 from triality8.claims import _pythagorean_rotation, _random_unit_3form
-from triality8.exterior import Multivector, apply_linear, blades_of_grade
+from triality8.exterior import Multivector, apply_linear, blades_of_grade, mask_of
 from triality8.orbits import (
+    _TRIPLES,
     OrbitClass,
     OrbitError,
     bracket_from_form,
+    coeff3,
     form_from_bracket,
     gamma,
     is_supersymmetric,
@@ -157,3 +159,32 @@ def test_orbit_class_hash_agrees_with_eq(rho):
     ref = orbit_classify(rho)
     got = orbit_classify(apply_linear(M, rho))
     assert got == ref and hash(got) == hash(ref)
+
+
+def _parity(t):
+    """Sign of the permutation sorting t, by counting its cycles."""
+    order = sorted(t)
+    perm = [order.index(v) for v in t]
+    seen, cycles = set(), 0
+    for start in range(3):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return 1 if (3 - cycles) % 2 == 0 else -1
+
+
+def test_triple_sign_table_against_brute_force(rho):
+    b = bracket_from_form(rho)
+    for t in product(range(1, 9), repeat=3):
+        sign, key, mask = _TRIPLES[t]
+        assert key == tuple(sorted(t))
+        if len(set(t)) < 3:
+            assert sign == 0
+            assert coeff3(rho, *t) == ZERO and b.coeff(*t) == ZERO
+            continue
+        assert sign == _parity(t) and mask == mask_of(key)
+        assert coeff3(rho, *t) == rho.coeff(*key) * sign
+        assert b.coeff(*t) == b.c.get(key, ZERO) * sign
+    assert len(_TRIPLES) == 8**3

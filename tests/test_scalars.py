@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from triality8.exterior import Multivector
 from triality8.scalars import (
     CScalar,
     I,
@@ -112,3 +113,50 @@ def test_parse_examples():
     z = parse_scalar("1/8 + 1/8 r3 i")
     assert isinstance(z, CScalar)
     assert z.re == Scalar(1) / 8 and z.im == SQRT3 / 8
+
+
+def test_exact_constructors_reject_float():
+    for make in (lambda: Scalar(0.1), lambda: Scalar(1, 0.5), lambda: CScalar(0.5)):
+        with pytest.raises(TypeError, match="float"):
+            make()
+    assert Scalar(Fraction(1, 3)).a == Fraction(1, 3)
+
+
+def _representations(q, r):
+    """Equal values of q + r*r3 in every type that can hold them."""
+    out = [Scalar(q, r), CScalar(Scalar(q, r)), CScalar(Scalar(q, r), Scalar(0))]
+    if r == 0:
+        out += [q, Scalar(q)]
+        if q.denominator == 1:
+            out.append(int(q))
+    return out
+
+
+@given(rationals, st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-3)]))
+def test_equal_values_hash_equal(q, r):
+    reps = _representations(q, r)
+    for x in reps:
+        for y in reps:
+            assert x == y and hash(x) == hash(y), (x, y)
+
+
+@given(st.lists(st.tuples(st.integers(0, 255), rationals, rationals), max_size=4))
+def test_multivector_hash_survives_complexify(terms):
+    m = Multivector({mask: Scalar(q, r) for mask, q, r in terms})
+    assert m == m.complexify() and hash(m) == hash(m.complexify())
+
+
+values = st.one_of(
+    st.integers(-3, 3),
+    rationals,
+    st.builds(Scalar, rationals, st.sampled_from([Fraction(0), Fraction(1)])),
+    st.builds(CScalar, scalars(), st.builds(Scalar, st.sampled_from([0, 0, 1]))),
+    st.builds(lambda k, x: Multivector({k: x}), st.sampled_from([0, 3]),
+              st.one_of(scalars(), cscalars())),
+)
+
+
+@given(values, values)
+def test_eq_implies_hash_eq(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
