@@ -8,8 +8,9 @@ the exact kernel/rank computations elsewhere rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-try:  # gmpy2.mpq is a large speedup for the big eliminations
+try:  # gmpy2.mpq speeds up the boundary rationals (.a, .b, parsing)
     from gmpy2 import mpq as _Rational  # pragma: no cover
 except ImportError:
     _Rational = Fraction
@@ -17,12 +18,13 @@ _RATIONALS = (int, Fraction, _Rational)
 _SQRT3 = 1.7320508075688772935274463415058723669
 
 
-def _rat(x):
-    """x in the backend's rational type; a float is refused, not rounded."""
-    if type(x) is _Rational:
-        return x
+def _parts(x):
+    """Integer numerator and denominator of an exact rational; a float is
+    refused, not rounded."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, _RATIONALS):
-        return _Rational(x)
+        return int(x.numerator), int(x.denominator)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
@@ -30,9 +32,10 @@ class Frozen:
     """Base of the package's immutable value types.
 
     Subclasses declare ``__slots__`` and fill them once in ``__init__``
-    through ``object.__setattr__``; afterwards assignment and deletion
-    raise.  ``__setstate__`` refills the slots the same way, so instances
-    pickle (protocol >= 2) and deep-copy.
+    through ``object.__setattr__`` or the slot descriptors; afterwards
+    assignment and deletion raise.  ``__setstate__`` refills the slots
+    through ``object.__setattr__``, so instances pickle (protocol >= 2) and
+    deep-copy.
     """
 
     __slots__ = ()
@@ -54,135 +57,162 @@ class ScalarError(ArithmeticError):
 
 
 class Scalar(Frozen):
-    """a + b*sqrt(3) with rational a, b."""
+    """a + b*sqrt(3) with rational a, b, stored as (p + q*sqrt(3))/d.
 
-    __slots__ = ("a", "b")
+    p, q, d are ints with d > 0 and gcd(p, q, d) = 1, so every value has
+    one representation (zero is (0, 0, 1)) and equality is structural.
+    ``a`` and ``b`` give the rational parts in the backend's type.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _rat(a))
-        object.__setattr__(self, "b", _rat(b))
+        na, da = _parts(a)
+        nb, db = _parts(b)
+        # over d = lcm(da, db) of the reduced parts, gcd(p, q, d) is already 1
+        d = da * db // gcd(da, db)
+        _set_p(self, na * (d // da))
+        _set_q(self, nb * (d // db))
+        _set_d(self, d)
+
+    @property
+    def a(self):
+        return _Rational(self.p, self.d)
+
+    @property
+    def b(self):
+        return _Rational(self.q, self.d)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, _RATIONALS):
-            return Scalar(other, 0)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.a + o.a, self.b + o.b)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p + other.p, self.q + other.q, d)
+        return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b)
+        return _new(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.a - o.a, self.b - o.b)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p - other.p, self.q - other.q, d)
+        return _make(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p, q, s, t = self.p, self.q, other.p, other.q
+        return _make(p * s + 3 * q * t, p * t + q * s, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # 1/(a+b r3) = (a-b r3)/(a^2-3b^2); the norm vanishes only at 0
-        n = self.a * self.a - 3 * self.b * self.b
+        # d/(p + q r3) = d (p - q r3)/(p^2 - 3 q^2); the norm vanishes only at 0
+        p, q, d = self.p, self.q, self.d
+        n = p * p - 3 * q * q
         if n == 0:
             raise ScalarError("division by zero")
-        return Scalar(self.a / n, -self.b / n)
+        if n < 0:
+            d, n = -d, -n
+        return _make(d * p, -d * q, n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
 
     def conj_sqrt3(self):
         """Galois conjugate a + b*r3 -> a - b*r3."""
-        return Scalar(self.a, -self.b)
+        return _new(self.p, -self.q, self.d)
 
     # -- predicates / conversions -----------------------------------------
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return not (self.p or self.q)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
         # a rational value hashes as the rational, like the int it equals
-        return hash((self.a, self.b)) if self.b else hash(self.a)
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def sign(self):
         """Sign of the real value a + b*sqrt(3)."""
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
+        p, q = self.p, self.q
+        if p >= 0 and q >= 0:
+            return 1 if p or q else 0
+        if p <= 0 and q <= 0:
             return -1
-        # a, b of opposite sign: compare a^2 with 3 b^2
-        s = 1 if self.a > 0 else -1
-        return s if self.a * self.a > 3 * self.b * self.b else -s
+        # p, q of opposite sign: compare p^2 with 3 q^2
+        s = 1 if p > 0 else -1
+        return s if p * p > 3 * q * q else -s
 
     def to_float(self):
         """Non-authoritative float embedding, used only for sampling."""
-        return float(self.a) + float(self.b) * _SQRT3
+        return self.p / self.d + self.q / self.d * _SQRT3
 
     def sqrt(self):
         """Exact square root inside Q(r3), or None if there is none."""
         if self.sign() < 0:
             return None
-        if self.b == 0:
-            r = _rational_sqrt(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            r = _rational_sqrt(a)
             if r is not None:
                 return Scalar(r, 0)
-            r = _rational_sqrt(self.a / 3)
+            r = _rational_sqrt(a / 3)
             if r is not None:
                 return Scalar(0, r)
             return None
         # (p + q r3)^2 = p^2+3q^2 + 2pq r3: solve for rational p, q
         # p^2 is a root of x^2 - a x + 3 (b/2)^2 = 0
-        disc = self.a * self.a - 3 * self.b * self.b
+        disc = a * a - 3 * b * b
         d = _rational_sqrt(disc)
         if d is None:
             return None
-        for p2 in ((self.a + d) / 2, (self.a - d) / 2):
+        for p2 in ((a + d) / 2, (a - d) / 2):
             if p2 < 0:
                 continue
             p = _rational_sqrt(p2)
             if p is not None and p != 0:
-                q = self.b / (2 * p)
+                q = b / (2 * p)
                 cand = Scalar(p, q)
                 if cand * cand == self and cand.sign() >= 0:
                     return cand
@@ -196,6 +226,43 @@ class Scalar(Frozen):
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_p = Scalar.p.__set__
+_set_q = Scalar.q.__set__
+_set_d = Scalar.d.__set__
+_alloc = object.__new__
+
+
+def _new(p, q, d):
+    """The Scalar with slots (p, q, d), which must already be normal."""
+    s = _alloc(Scalar)
+    _set_p(s, p)
+    _set_q(s, q)
+    _set_d(s, d)
+    return s
+
+
+def _make(p, q, d):
+    """The Scalar (p + q r3)/d for ints p, q and d > 0, in normal form."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    return _new(p, q, d)
+
+
+def _coerce(x):
+    """x as a Scalar if it is one or an exact rational, else None."""
+    if type(x) is Scalar:
+        return x
+    if type(x) is int:
+        return _new(x, 0, 1)
+    if isinstance(x, _RATIONALS):
+        return _new(int(x.numerator), 0, int(x.denominator))
+    return None
 
 
 def _rational_sqrt(q):
@@ -222,52 +289,50 @@ class CScalar(Frozen):
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Scalar) else Scalar(re))
-        object.__setattr__(self, "im", im if isinstance(im, Scalar) else Scalar(im))
-
-    def _coerce(self, other):
-        if isinstance(other, CScalar):
-            return other
-        if isinstance(other, Scalar):
-            return CScalar(other, Scalar(0))
-        if isinstance(other, _RATIONALS):
-            return CScalar(Scalar(other), Scalar(0))
-        return None
+        _set_re(self, re if type(re) is Scalar else Scalar(re))
+        _set_im(self, im if type(im) is Scalar else Scalar(im))
 
     def __add__(self, other):
-        o = self._coerce(other)
+        if type(other) is CScalar:
+            return _cnew(self.re + other.re, self.im + other.im)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return CScalar(self.re + o.re, self.im + o.im)
+        return _cnew(self.re + o, self.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CScalar(-self.re, -self.im)
+        return _cnew(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        if type(other) is CScalar:
+            return _cnew(self.re - other.re, self.im - other.im)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return CScalar(self.re - o.re, self.im - o.im)
+        return _cnew(self.re - o, self.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _cnew(o - self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        if type(other) is CScalar:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _cnew(a * c - b * d, a * d + b * c)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return CScalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _cnew(self.re * o, self.im * o)
 
     __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugate re - im*i."""
-        return CScalar(self.re, -self.im)
+        return _cnew(self.re, -self.im)
 
     def norm2(self):
         """|z|^2 as a Scalar."""
@@ -278,31 +343,34 @@ class CScalar(Frozen):
         if n.is_zero():
             raise ScalarError("division by zero")
         ninv = n.inverse()
-        return CScalar(self.re * ninv, -self.im * ninv)
+        return _cnew(self.re * ninv, -self.im * ninv)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CScalar else _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * o
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
 
     def __bool__(self):
-        return not self.is_zero()
+        re, im = self.re, self.im
+        return bool(re.p or re.q or im.p or im.q)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        if type(other) is CScalar:
+            return self.re == other.re and self.im == other.im
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == o and not self.im
 
     def __hash__(self):
         # a real value hashes as the Scalar it equals
@@ -313,6 +381,18 @@ class CScalar(Frozen):
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_re = CScalar.re.__set__
+_set_im = CScalar.im.__set__
+
+
+def _cnew(re, im):
+    """The CScalar re + im*i of two Scalars."""
+    z = _alloc(CScalar)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = Scalar(0)

@@ -481,7 +481,8 @@ def calibration(kind, plane):
 def calibration_sample(kind, count, seed=20260826):
     """Max of the calibration form over random float planes."""
     tau, k = calibration_form(kind)
-    terms = [(indices_of(m), c.to_float()) for m, c in tau.terms.items()]
+    det = _det3 if k == 3 else _det4
+    terms = [(tuple(i - 1 for i in indices_of(m)), c.to_float()) for m, c in tau.terms.items()]
     rng = _random.Random(seed)
     best = float("-inf")
     for _ in range(count):
@@ -495,25 +496,31 @@ def calibration_sample(kind, count, seed=20260826):
             vecs.append([a / n for a in v])
         val = 0.0
         for ix, c in terms:
-            val += c * _minor_det([[vec[i - 1] for i in ix] for vec in vecs])
+            val += c * det(*vecs, *ix)
         best = max(best, abs(val))
     return best
 
 
-def _minor_det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if n == 3:
-        return (
-            M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-        )
-    det = 0.0
-    for c in range(n):
-        minor = [row[:c] + row[c + 1 :] for row in M[1:]]
-        det += ((-1) ** c) * M[0][c] * _minor_det(minor)
-    return det
+# _det3 and _det4 give the determinant of the matrix whose rows are the
+# vectors u, v, ... restricted to the columns i, j, ...  They do the float
+# operations, in the order, of a cofactor expansion along the first row
+# (the recursive oracle in tests/test_structures.py), so the sampled
+# maxima do not change.
+
+
+def _det3(u, v, w, i, j, k):
+    return (
+        u[i] * (v[j] * w[k] - v[k] * w[j])
+        - u[j] * (v[i] * w[k] - v[k] * w[i])
+        + u[k] * (v[i] * w[j] - v[j] * w[i])
+    )
+
+
+def _det4(u, v, w, x, i, j, k, l):
+    return (
+        0.0
+        + u[i] * _det3(v, w, x, j, k, l)
+        - u[j] * _det3(v, w, x, i, k, l)
+        + u[k] * _det3(v, w, x, i, j, l)
+        - u[l] * _det3(v, w, x, i, j, k)
+    )

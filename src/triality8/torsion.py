@@ -286,29 +286,44 @@ def Dhat(T, chirality="+"):
 _L3_MASKS = tuple(blades_of_grade(3))
 
 
-def _pair_to_l3(M, sigma):
-    """Projection D- (x) D+ -> Lambda^3: sum_I q(Psi_-, e_I . Psi_+) e_I
-    applied slotwise to M and sigma."""
-    out = {}
+@lru_cache(maxsize=None)
+def _l3_images(kind, chirality, target):
+    """The nonzero entries (r, i, w) of e_I . sigma(e_i) in the target
+    block, for each 3-blade e_I, with sigma = sigma_canonical(kind,
+    chirality).  They do not depend on the 3-form, so every L_op shares
+    one table."""
+    sigma = sigma_canonical(kind, chirality)
+    cols = la.transpose(sigma.matrix)
+    out = []
     for mask in _L3_MASKS:
-        B = block(kappa_form(Multivector({mask: ONE})), M.target, sigma.target)
+        B = block(kappa_form(Multivector({mask: ONE})), target, sigma.target)
+        imgs = [la.mat_vec(B, col) for col in cols]
+        out.append((mask, tuple((r, i, img[r]) for i, img in enumerate(imgs)
+                                for r in range(8) if img[r])))
+    return tuple(out)
+
+
+def _pair_to_l3(M, images):
+    """Projection D- (x) D+ -> Lambda^3: sum_I q(Psi_-, e_I . Psi_+) e_I
+    applied slotwise to M and sigma, given the images of sigma from
+    _l3_images."""
+    rows = M.matrix
+    out = {}
+    for mask, entries in images:
         s = None
-        for i in range(8):
-            img = la.mat_vec(B, [sigma.matrix[r][i] for r in range(8)])
-            for r in range(8):
-                v = M.matrix[r][i]
-                if v and img[r]:
-                    t = v * img[r]
-                    s = t if s is None else s + t
+        for r, i, w in entries:
+            v = rows[r][i]
+            if v:
+                t = v * w
+                s = t if s is None else s + t
         if s is not None and s:
             out[mask] = s
     return Multivector(out)
 
 
 def _l_raw(tau):
-    T = _embed3(tau, "SP1SP2")
-    sigma = sigma_canonical("SP1SP2", "+")
-    return _pair_to_l3(Dhat(T, "+"), sigma)
+    D = Dhat(_embed3(tau, "SP1SP2"), "+")
+    return _pair_to_l3(D, _l3_images("SP1SP2", "+", D.target))
 
 
 @lru_cache(maxsize=None)

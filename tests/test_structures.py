@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
 from triality8 import linalg as la
 from triality8.clifford import act2_svf, mu
-from triality8.exterior import Multivector, parse_form, to_vector
+from triality8.exterior import Multivector, indices_of, parse_form, to_vector
 from triality8.scalars import CScalar, I, ONE, SQRT3, Scalar
 from triality8.structures import (
     L2_MASKS,
     betti,
     c_apply,
+    calibration_form,
     c_operator,
     calibration,
     calibration_sample,
@@ -24,6 +26,7 @@ from triality8.structures import (
     su2_triple_check,
     weight_eigen_check,
 )
+from triality8.structures import _det3, _det4
 
 e = Multivector.blade
 
@@ -152,3 +155,60 @@ def test_calibrations():
     assert calibration("SP1SP2", [e(1), e(2), e(3), -e(4)]) == ONE
     assert calibration_sample("PSU3", 2000) <= 1 + 1e-9
     assert calibration_sample("SP1SP2", 2000) <= 1 + 1e-9
+
+
+def _minor_det(M):
+    """Recursive cofactor determinant: the oracle for the unrolled minors."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    if n == 3:
+        return (
+            M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
+        )
+    det = 0.0
+    for c in range(n):
+        minor = [row[:c] + row[c + 1 :] for row in M[1:]]
+        det += ((-1) ** c) * M[0][c] * _minor_det(minor)
+    return det
+
+
+def _calibration_sample_oracle(kind, count, seed):
+    tau, k = calibration_form(kind)
+    terms = [(indices_of(m), c.to_float()) for m, c in tau.terms.items()]
+    rng = random.Random(seed)
+    best = float("-inf")
+    for _ in range(count):
+        vecs = []
+        for _r in range(k):
+            v = [rng.gauss(0.0, 1.0) for _ in range(8)]
+            for w in vecs:
+                d = sum(a * b for a, b in zip(v, w))
+                v = [a - d * b for a, b in zip(v, w)]
+            n = sum(a * a for a in v) ** 0.5
+            vecs.append([a / n for a in v])
+        val = 0.0
+        for ix, c in terms:
+            val += c * _minor_det([[vec[i - 1] for i in ix] for vec in vecs])
+        best = max(best, abs(val))
+    return best
+
+
+def test_calibration_sample_matches_recursive_minors():
+    """The unrolled minors give the very floats of the recursive expansion,
+    so the calib.bound report string cannot change."""
+    rng = random.Random(3)
+    for k, det in ((3, _det3), (4, _det4)):
+        for _ in range(20):
+            vecs = [[rng.gauss(0.0, 1.0) for _ in range(8)] for _ in range(k)]
+            for ix in combinations(range(8), k):
+                want = _minor_det([[vec[i] for i in ix] for vec in vecs])
+                assert det(*vecs, *ix) == want
+    for kind in ("PSU3", "SP1SP2"):
+        for seed in (1, 20260826, 987654321):
+            assert calibration_sample(kind, 200, seed=seed) == \
+                _calibration_sample_oracle(kind, 200, seed)

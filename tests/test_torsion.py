@@ -1,10 +1,11 @@
 import pytest
 
+from triality8 import linalg as la
 from triality8 import torsion as to
-from triality8.clifford import act2_svf
+from triality8.clifford import act2_svf, block, kappa_form
 from triality8.exterior import Multivector, parse_form
 from triality8.scalars import CScalar, I, ONE, SQRT3, Scalar
-from triality8.structures import c_apply, l2_form, p3, stabilizer_cached
+from triality8.structures import c_apply, l2_form, p3, sigma_canonical, stabilizer_cached
 
 e = Multivector.blade
 
@@ -48,6 +49,30 @@ def test_L_operator(omega):
     assert to.L_op(v) == parse_form(
         "-12 e134 - 8 e156 + 44 e178 + 4 e358 - 4 e367 - 4 e457 - 4 e468"
     ) * (ONE / 3)
+
+
+def _pair_to_l3_direct(M, sigma):
+    """The pairing with every Clifford image rebuilt per call: the oracle
+    for the shared table of to._l3_images."""
+    out = {}
+    for mask in to._L3_MASKS:
+        B = block(kappa_form(Multivector({mask: ONE})), M.target, sigma.target)
+        s = Scalar(0)
+        for i in range(8):
+            img = la.mat_vec(B, [sigma.matrix[r][i] for r in range(8)])
+            for r in range(8):
+                s = s + M.matrix[r][i] * img[r]
+        if s:
+            out[mask] = s
+    return Multivector(out)
+
+
+def test_l3_images_match_direct_pairing():
+    sigma = sigma_canonical("SP1SP2", "+")
+    for tau in (e(1, 2, 3), e(1, 3, 4) * (Scalar(-1) / 3) + e(1, 7, 8),
+                e(2, 5, 8) * SQRT3 - e(4, 6, 7) * 2):
+        D = to.Dhat(to._embed3(tau, "SP1SP2"), "+")
+        assert to._l_raw(tau) == _pair_to_l3_direct(D, sigma)
 
 
 def test_L_spectrum():
