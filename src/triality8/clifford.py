@@ -1,11 +1,17 @@
-"""Octonions, the Clifford representation Cliff(R^8) = End(D+ (+) D-),
-and the Clifford action on spinors and spinor-valued 1-forms.
+"""The Clifford representation Cliff(R^8) = End(D+ (+) D-) built from the
+octonions, and the Clifford action on spinors and spinor-valued 1-forms.
 
-Octonions are Cayley-Dickson doubles of the quaternions with product
+The octonions are Cayley-Dickson doubles of the quaternions with product
 (a,b)(c,d) = (ac - conj(d) b, da + b conj(c)), in the basis
-1, i, j, k, e, (0,i), (0,j), (0,k).  kappa(u) is the block matrix
+1, i, j, k, e, (0,i), (0,j), (0,k); _TABLE holds the products of basis
+elements as integer 8-tuples.  kappa(u) is the block matrix
 [[0, R_u], [-R_conj(u), 0]] where R_u is right multiplication; with this
 convention kappa reproduces the eight reference matrices entry for entry.
+A product of basis octonions is a signed basis octonion, so each generator
+kappa(e_i), and with it each blade kappa(e_I), is a signed permutation of
+the 16 spinor slots: one entry +-1 per row.  The generators are read from
+_TABLE as such permutations, and kappa_form adds +-c at one entry per row
+for each term c e_I.
 Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 """
 
@@ -55,84 +61,6 @@ _TABLE = [
 ]
 
 
-class Octonion(Frozen):
-    """Element of the octonions, 8 Scalar coordinates."""
-
-    __slots__ = ("coords",)
-
-    BASIS_NAMES = ("1", "i", "j", "k", "e", "e.i", "e.j", "e.k")
-
-    def __init__(self, coords):
-        cs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coords)
-        if len(cs) != 8:
-            raise ValueError("octonion needs 8 coordinates")
-        object.__setattr__(self, "coords", cs)
-
-    @classmethod
-    def basis(cls, a):
-        return cls([1 if t == a else 0 for t in range(8)])
-
-    def __add__(self, other):
-        return Octonion([x + y for x, y in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return Octonion([x - y for x, y in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return Octonion([-x for x in self.coords])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return Octonion([x * other for x in self.coords])
-        out = [ZERO] * 8
-        for a, x in enumerate(self.coords):
-            if not x:
-                continue
-            for b, y in enumerate(other.coords):
-                if not y:
-                    continue
-                xy = x * y
-                for t, s in enumerate(_TABLE[a][b]):
-                    if s:
-                        out[t] = out[t] + xy * s
-        return Octonion(out)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return Octonion([self.coords[0]] + [-x for x in self.coords[1:]])
-
-    def norm2(self):
-        s = ZERO
-        for x in self.coords:
-            s = s + x * x
-        return s
-
-    def __eq__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        parts = [
-            f"{c} {n}" for c, n in zip(self.coords, self.BASIS_NAMES) if c
-        ]
-        return "Octonion(" + (" + ".join(parts) or "0") + ")"
-
-
-def right_mult_matrix(u):
-    """R_u with R_u[a][b] = coefficient of basis_a in basis_b * u."""
-    M = la.zeros(8, 8)
-    for b in range(8):
-        w = Octonion.basis(b) * u
-        for a in range(8):
-            M[a][b] = w.coords[a]
-    return M
-
-
 class Spinor(Frozen):
     """Chirality-tagged spinor, 8 Scalar/CScalar coordinates."""
 
@@ -166,16 +94,6 @@ class Spinor(Frozen):
 
     def is_zero(self):
         return all(not x for x in self.coords)
-
-    def q(self, other):
-        """The invariant inner product (Euclidean on each chirality)."""
-        if other.chirality != self.chirality:
-            return ZERO
-        s = ZERO
-        for x, y in zip(self.coords, other.coords):
-            if x and y:
-                s = s + x * y
-        return s
 
     def __eq__(self, other):
         if not isinstance(other, Spinor):
@@ -281,26 +199,33 @@ class SpinorMap(Frozen):
 # -- the Clifford representation -------------------------------------------
 
 
-def kappa(x):
-    """kappa of a grade-1 multivector, as a 16x16 matrix."""
-    if not x.is_homogeneous(1):
-        raise ValueError("kappa requires a grade-1 form")
-    u = Octonion([x.coeff(i) for i in range(1, 9)])
-    R = right_mult_matrix(u)
-    Rc = right_mult_matrix(u.conj())
-    M = la.zeros(16, 16)
-    for a in range(8):
-        for b in range(8):
-            M[a][8 + b] = R[a][b]
-            M[8 + a][b] = -Rc[a][b]
-    return M
+def _generator(i):
+    """kappa(e_i) as a signed permutation: row r holds (column, sign).
+
+    R_u[a][b] is the coefficient of basis_a in basis_b * u, and for u the
+    basis octonion i-1 each column b has its one entry at the row a where
+    _TABLE[b][i-1] is nonzero.  conj(u) = u for the unit, -u otherwise.
+    """
+    conj = 1 if i == 1 else -1
+    perm = [None] * 16
+    for b in range(8):
+        ((a, s),) = [(t, s) for t, s in enumerate(_TABLE[b][i - 1]) if s]
+        perm[a] = (8 + b, s)
+        perm[8 + a] = (b, -conj * s)
+    return tuple(perm)
+
+
+_GENERATORS = {i: _generator(i) for i in range(1, 9)}
+_IDENTITY = tuple((r, 1) for r in range(16))
 
 
 def _kappa_blade(mask):
-    M = la.identity(16)
+    """kappa(e_I) = kappa(e_i1) ... kappa(e_ik) as a signed permutation."""
+    perm = _IDENTITY
     for i in indices_of(mask):
-        M = la.mat_mul(M, kappa(Multivector.blade(i)))
-    return M
+        g = _GENERATORS[i]
+        perm = tuple((g[c][0], s * g[c][1]) for c, s in perm)
+    return perm
 
 
 _BLADE_CACHE = {}
@@ -310,16 +235,19 @@ def kappa_form(alpha):
     """Extend kappa to Lambda* via kappa(e_I) = kappa(e_i1) ... kappa(e_ik)."""
     M = la.zeros(16, 16)
     for mask, c in alpha.terms.items():
-        K = _BLADE_CACHE.get(mask)
-        if K is None:
-            K = _BLADE_CACHE[mask] = _kappa_blade(mask)
-        for r in range(16):
-            Kr = K[r]
-            Mr = M[r]
-            for s in range(16):
-                if Kr[s]:
-                    Mr[s] = Mr[s] + c * Kr[s]
+        perm = _BLADE_CACHE.get(mask)
+        if perm is None:
+            perm = _BLADE_CACHE[mask] = _kappa_blade(mask)
+        for Mr, (col, s) in zip(M, perm):
+            Mr[col] = Mr[col] + c if s > 0 else Mr[col] - c
     return M
+
+
+def kappa(x):
+    """kappa of a grade-1 multivector, as a 16x16 matrix."""
+    if not x.is_homogeneous(1):
+        raise ValueError("kappa requires a grade-1 form")
+    return kappa_form(x)
 
 
 def block(M, target, source):

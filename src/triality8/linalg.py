@@ -63,32 +63,26 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def _dot(row, nz):
+    """Sum of row[r] * y over the nonzero entries (r, y) of a column, in
+    order; only the row factor still needs a zero test."""
+    s = ZERO
+    for r, y in nz:
+        x = row[r]
+        if x:
+            s = s + x * y
+    return s
+
+
 def mat_mul(A, B):
-    n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    Bt = [[B[r][c] for r in range(k)] for c in range(m)]
-    out = []
-    for row in A:
-        out_row = []
-        for col in Bt:
-            s = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    s = s + x * y
-            out_row.append(s)
-        out.append(out_row)
-    return out
+    cols = [[(r, Br[c]) for r, Br in enumerate(B) if Br[c]] for c in range(m)]
+    return [[_dot(row, nz) for nz in cols] for row in A]
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return out
+    nz = [(r, y) for r, y in enumerate(v) if y]
+    return [_dot(row, nz) for row in A]
 
 
 def mat_add(A, B):

@@ -70,11 +70,6 @@ class Subspace(Frozen):
     def contains(self, vector):
         return la.in_span(self.basis, vector)
 
-    def equals(self, other):
-        return self.dim == other.dim and all(
-            other.contains(v) for v in self.basis
-        )
-
     def __repr__(self):
         return f"Subspace({self.ambient!r}, dim={self.dim})"
 

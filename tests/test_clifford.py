@@ -5,7 +5,7 @@ import pytest
 from triality8 import linalg as la
 from triality8.claims import _KAPPA_TABLE, _RHOMAP_TIMES_4, _scal
 from triality8.clifford import (
-    Octonion,
+    _oct_mul_raw,
     Spinor,
     SpinorMap,
     block,
@@ -16,31 +16,63 @@ from triality8.clifford import (
     mu,
     q_adjoint_check,
 )
-from triality8.exterior import Multivector, blades_of_grade
+from triality8.exterior import Multivector, blades_of_grade, indices_of
 from triality8.scalars import ONE, Scalar
 
 e = Multivector.blade
 
 
+def _reference_generator(m):
+    M = la.zeros(16, 16)
+    for s, i, j in _KAPPA_TABLE[m]:
+        M[i - 1][j - 1] = Scalar(-s)
+        M[j - 1][i - 1] = Scalar(s)
+    return M
+
+
 def test_octonion_algebra():
     rng = random.Random(0)
 
-    def rand_oct():
-        return Octonion([Scalar(rng.randint(-3, 3)) for _ in range(8)])
+    def norm2(x):
+        return sum(c * c for c in x)
 
     for _ in range(10):
-        x, y = rand_oct(), rand_oct()
+        x = tuple(rng.randint(-3, 3) for _ in range(8))
+        y = tuple(rng.randint(-3, 3) for _ in range(8))
         # composition algebra: N(xy) = N(x)N(y)
-        assert (x * y).norm2() == x.norm2() * y.norm2()
+        assert norm2(_oct_mul_raw(x, y)) == norm2(x) * norm2(y)
 
 
 def test_kappa_matches_reference_tables():
-    for m, entries in _KAPPA_TABLE.items():
-        M = la.zeros(16, 16)
-        for s, i, j in entries:
-            M[i - 1][j - 1] = Scalar(-s)
-            M[j - 1][i - 1] = Scalar(s)
-        assert la.mat_eq(kappa(e(m)), M), f"generator {m}"
+    for m in _KAPPA_TABLE:
+        assert la.mat_eq(kappa(e(m)), _reference_generator(m)), f"generator {m}"
+
+
+def test_kappa_form_blades_match_reference_products():
+    """Every blade matrix, the empty blade included, equals the dense
+    product of the stored reference generators: an oracle that does not
+    read the octonion table."""
+    for mask in range(256):
+        expected = la.identity(16)
+        for i in indices_of(mask):
+            expected = la.mat_mul(expected, _reference_generator(i))
+        got = kappa_form(Multivector({mask: ONE}))
+        assert la.mat_eq(got, expected), f"mask {mask:08b}"
+
+
+def test_kappa_is_linear_on_vectors():
+    rng = random.Random(8)
+    coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(8)]
+    x = Multivector({1 << i: Scalar(c) for i, c in enumerate(coeffs)})
+    expected = la.zeros(16, 16)
+    for i, c in enumerate(coeffs, start=1):
+        expected = la.mat_add(expected, la.mat_scale(kappa(e(i)), Scalar(c)))
+    assert la.mat_eq(kappa(x), expected)
+
+
+def test_kappa_rejects_non_vectors():
+    with pytest.raises(ValueError, match="grade-1"):
+        kappa(e(1, 2))
 
 
 def test_clifford_relations():

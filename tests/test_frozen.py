@@ -11,7 +11,7 @@ import pytest
 
 import triality8
 from triality8.claims import REGISTRY, ClaimReport
-from triality8.clifford import Octonion, Spinor, SpinorMap
+from triality8.clifford import Spinor, SpinorMap
 from triality8.exterior import Multivector
 from triality8.frames import Connection, FrameAlgebra
 from triality8.obstructions import CharData
@@ -26,7 +26,6 @@ INSTANCES = {
     "Scalar": lambda: Scalar(1, 2),
     "CScalar": lambda: CScalar(Scalar(1, 2), Scalar(-3)),
     "Multivector": lambda: e(1, 2) * Scalar(0, 1) + e(3, 4, 5) * CScalar(1, 1),
-    "Octonion": lambda: Octonion([1, 0, 2, 0, 0, 3, 0, -1]),
     "Spinor": lambda: Spinor("-", [ONE, CScalar(0, 1)] + [Scalar(0)] * 6),
     "SpinorMap": lambda: SpinorMap.identity("+"),
     "BracketTable": lambda: BracketTable({(1, 2, 3): ONE, (4, 5, 6): Scalar(0, 1)}),
