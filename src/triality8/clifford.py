@@ -11,7 +11,10 @@ A product of basis octonions is a signed basis octonion, so each generator
 kappa(e_i), and with it each blade kappa(e_I), is a signed permutation of
 the 16 spinor slots: one entry +-1 per row.  The generators are read from
 _TABLE as such permutations, and kappa_form adds +-c at one entry per row
-for each term c e_I.
+for each term c e_I.  kappa_block fills one 8x8 chirality block of
+kappa(alpha) the same way; an even blade maps each chirality to itself
+and an odd one swaps them, so a term either fills all 8 rows of the
+block or none.
 Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 """
 
@@ -167,9 +170,22 @@ class SpinorMap(Frozen):
         return la.is_zero_matrix(self.matrix)
 
     def is_isometry(self):
-        return la.mat_eq(
-            la.mat_mul(la.transpose(self.matrix), self.matrix), la.identity(8)
-        )
+        """M^T M = Id, one Gram entry at a time over the nonzero entries of
+        each column; False at the first entry that differs.  Column j is
+        read when the entries (i, j), i <= j, are due."""
+        cols = []
+        for j in range(8):
+            cj = {r: row[j] for r, row in enumerate(self.matrix) if row[j]}
+            cols.append(cj)
+            for i, ci in enumerate(cols):
+                s = ZERO
+                for r, x in ci.items():
+                    y = cj.get(r)
+                    if y is not None:
+                        s = s + x * y
+                if s != (ONE if i == j else ZERO):
+                    return False
+        return True
 
     def apply(self, v):
         """Apply to 8 coordinates (vector or Spinor), returning coordinates."""
@@ -231,16 +247,40 @@ def _kappa_blade(mask):
 _BLADE_CACHE = {}
 
 
+def _blade(mask):
+    perm = _BLADE_CACHE.get(mask)
+    if perm is None:
+        perm = _BLADE_CACHE[mask] = _kappa_blade(mask)
+    return perm
+
+
 def kappa_form(alpha):
     """Extend kappa to Lambda* via kappa(e_I) = kappa(e_i1) ... kappa(e_ik)."""
     M = la.zeros(16, 16)
     for mask, c in alpha.terms.items():
-        perm = _BLADE_CACHE.get(mask)
-        if perm is None:
-            perm = _BLADE_CACHE[mask] = _kappa_blade(mask)
-        for Mr, (col, s) in zip(M, perm):
+        for Mr, (col, s) in zip(M, _blade(mask)):
             Mr[col] = Mr[col] + c if s > 0 else Mr[col] - c
     return M
+
+
+def kappa_block(alpha, target, source):
+    """block(kappa_form(alpha), target, source), filled straight from the
+    blade permutations."""
+    r0 = 0 if target == "+" else 8
+    c0 = 0 if source == "+" else 8
+    B = [[ZERO] * 8 for _ in range(8)]
+    for mask, c in alpha.terms.items():
+        rows = _blade(mask)[r0:r0 + 8]
+        if rows[0][0] // 8 != c0 // 8:
+            continue  # the blade maps the target rows into the other block
+        c = ZERO + c  # a field element even for an int coefficient
+        signed = (None, c, -c)  # indexed by the sign s = +-1
+        for Br, (col, s) in zip(B, rows):
+            col -= c0
+            x = Br[col]
+            # an entry no term has reached yet is still the ZERO object
+            Br[col] = signed[s] if x is ZERO else x + signed[s]
+    return B
 
 
 def kappa(x):
@@ -261,7 +301,7 @@ def form_to_map(rho):
     """The D- -> D+ block of kappa_form(rho), for a 3-form."""
     if not rho.is_homogeneous(3):
         raise ValueError("form_to_map requires a grade-3 form")
-    return SpinorMap(block(kappa_form(rho), "+", "-"), "-", "+")
+    return SpinorMap(kappa_block(rho, "+", "-"), "-", "+")
 
 
 def q_adjoint_check(alpha):
@@ -289,7 +329,7 @@ def mu(sigma):
     flip = "-" if t == "+" else "+"
     out = [ZERO] * 8
     for i in range(8):
-        B = block(kappa(Multivector.blade(i + 1)), flip, t)
+        B = kappa_block(Multivector.blade(i + 1), flip, t)
         img = la.mat_vec(B, list(sigma.column(i).coords))
         out = [x + y for x, y in zip(out, img)]
     return Spinor(flip, out)
@@ -301,7 +341,7 @@ def iota(psi):
     scale = Scalar(-1) / 8
     target = "-" if psi.chirality == "+" else "+"
     for i in range(8):
-        B = block(kappa(Multivector.blade(i + 1)), target, psi.chirality)
+        B = kappa_block(Multivector.blade(i + 1), target, psi.chirality)
         img = la.mat_vec(B, list(psi.coords))
         cols.append([x * scale for x in img])
     return SpinorMap(la.transpose(cols), "v", target)
@@ -311,7 +351,7 @@ def spin_action(a, chirality):
     """so(8)-action of a 2-form on D+-: the chirality block of kappa(a)/2."""
     if not a.is_homogeneous(2):
         raise ValueError("spin_action requires a 2-form")
-    M = block(kappa_form(a), chirality, chirality)
+    M = kappa_block(a, chirality, chirality)
     return SpinorMap(la.mat_scale(M, half()), chirality, chirality)
 
 

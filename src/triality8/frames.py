@@ -14,7 +14,7 @@ reproduces the structure equations verbatim.
 from __future__ import annotations
 
 from . import linalg as la
-from .clifford import Spinor, block, kappa
+from .clifford import Spinor, kappa_block
 from .exterior import Multivector, antiderivation, indices_of, mask_of
 from .orbits import bracket_from_form
 from .scalars import Frozen, Scalar, half
@@ -222,7 +222,7 @@ def ricci_constraint(ric, kind, chirality="+"):
     dst = "-" if src == "+" else "+"
     out = [ZERO] * 8
     for i in range(1, 9):
-        B = block(kappa(Multivector.blade(i)), dst, src)
+        B = kappa_block(Multivector.blade(i), dst, src)
         v = [ZERO] * 8
         for j in range(1, 9):
             c = ric[i - 1][j - 1]

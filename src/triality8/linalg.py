@@ -56,7 +56,7 @@ _TIMES = [
 
 
 def zeros(rows, cols):
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n):

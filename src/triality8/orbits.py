@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import linalg as la
-from .clifford import SpinorMap, block, form_to_map, kappa_form
-from .exterior import Multivector, mask_of
+from .clifford import SpinorMap, form_to_map, kappa_block
+from .exterior import Multivector, indices_of, mask_of
 from .scalars import Frozen, Scalar
 
 ZERO = Scalar(0)
@@ -52,42 +52,48 @@ def coeff3(rho, i, j, k):
 
 
 def jac(rho, tau):
-    """The 4-form Jac(rho (x) tau), the Jacobi obstruction."""
+    """The 4-form Jac(rho (x) tau), the Jacobi obstruction.
+
+    Jac_abcd is a sixth of the sum over the six pairings (xy|zw) of
+    {a, b, c, d}, each taken as an even permutation of (a, b, c, d), of
+    sum_k rho_xyk tau_zwk.  A term is nonzero only where a term e_xyk of
+    rho and a term e_zwk of tau share exactly the index k, so the sum runs
+    over such pairs of terms.
+    """
     if not rho.is_homogeneous(3) or not tau.is_homogeneous(3):
         raise OrbitError("jac requires grade-3 forms")
-
-    def pair(x, y, z, w):
-        s = ZERO
-        for k in range(1, 9):
-            r = coeff3(rho, x, y, k)
-            if r:
-                t = coeff3(tau, z, w, k)
-                if t:
-                    s = s + r * t
-        return s
-
-    sixth = ONE / 6
     out = {}
-    for a, b, c, d in combinations(range(1, 9), 4):
-        v = (
-            pair(a, b, c, d)
-            + pair(a, c, d, b)
-            + pair(a, d, b, c)
-            + pair(b, c, a, d)
-            + pair(b, d, c, a)
-            + pair(c, d, a, b)
-        )
-        if v:
-            out[mask_of((a, b, c, d))] = v * sixth
-    return Multivector(out)
+    for m, r in rho.terms.items():
+        for n, t in tau.terms.items():
+            shared = m & n
+            if not shared or shared & (shared - 1):
+                continue
+            (k,) = indices_of(shared)
+            x, y = indices_of(m ^ shared)
+            z, w = indices_of(n ^ shared)
+            # the signs of (x, y, k), (z, w, k) and (x, y, z, w) against
+            # their sorted orders
+            sign = _TRIPLES[x, y, k][0] * _TRIPLES[z, w, k][0]
+            if ((x > z) + (x > w) + (y > z) + (y > w)) % 2:
+                sign = -sign
+            p = r * t
+            acc = out.get(m ^ n, ZERO)
+            out[m ^ n] = acc + p if sign > 0 else acc - p
+    sixth = ONE / 6
+    return Multivector({key: v * sixth for key, v in out.items() if v})
 
 
 def gamma(rho, tau, chirality):
-    """Gamma(rho (x) tau): the chirality block of kappa(rho) kappa(tau)."""
+    """Gamma(rho (x) tau): the chirality block of kappa(rho) kappa(tau).
+
+    Both forms are odd, so the block is the product of the chirality
+    block of kappa(rho) into `chirality` and that of kappa(tau) out of it.
+    """
     if not rho.is_homogeneous(3) or not tau.is_homogeneous(3):
         raise OrbitError("gamma requires grade-3 forms")
-    M = la.mat_mul(kappa_form(rho), kappa_form(tau))
-    return SpinorMap(block(M, chirality, chirality), chirality, chirality)
+    flip = "-" if chirality == "+" else "+"
+    M = la.mat_mul(kappa_block(rho, chirality, flip), kappa_block(tau, flip, chirality))
+    return SpinorMap(M, chirality, chirality)
 
 
 def is_supersymmetric(rho):
@@ -177,9 +183,7 @@ def bracket_from_form(rho):
     """Structure constants c_{ijk} = rho(e_i, e_j, e_k)."""
     if not rho.is_homogeneous(3):
         raise OrbitError("expected a 3-form")
-    return BracketTable(
-        {(i, j, k): rho.coeff(i, j, k) for i, j, k in combinations(range(1, 9), 3)}
-    )
+    return BracketTable({indices_of(m): v for m, v in rho.terms.items()})
 
 
 def form_from_bracket(b):

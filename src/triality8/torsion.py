@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import linalg as la
-from .clifford import SpinorMap, act2_svf, block, form_to_map, kappa_form, mu
+from .clifford import SpinorMap, act2_svf, form_to_map, kappa_block, mu
 from .exterior import (
     Multivector,
     blades_of_grade,
@@ -275,7 +275,7 @@ def Dhat(T, chirality="+"):
         if a.is_zero():
             continue
         svf = act2_svf(a, sigma)
-        B = block(kappa_form(Multivector.blade(i + 1)), dst, src)
+        B = kappa_block(Multivector.blade(i + 1), dst, src)
         term = SpinorMap(la.mat_mul(B, svf.matrix), "v", dst)
         total = term if total is None else total + term
     return total if total is not None else SpinorMap(la.zeros(8, 8), "v", dst)
@@ -296,7 +296,7 @@ def _l3_images(kind, chirality, target):
     cols = la.transpose(sigma.matrix)
     out = []
     for mask in _L3_MASKS:
-        B = block(kappa_form(Multivector({mask: ONE})), target, sigma.target)
+        B = kappa_block(Multivector({mask: ONE}), target, sigma.target)
         imgs = [la.mat_vec(B, col) for col in cols]
         out.append((mask, tuple((r, i, img[r]) for i, img in enumerate(imgs)
                                 for r in range(8) if img[r])))

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from triality8 import linalg as la
-from triality8.claims import _KAPPA_TABLE, _RHOMAP_TIMES_4, _scal
+from triality8.claims import (
+    _KAPPA_TABLE,
+    _RHOMAP_TIMES_4,
+    _pythagorean_rotation,
+    _random_unit_3form,
+    _scal,
+)
 from triality8.clifford import (
     _oct_mul_raw,
     Spinor,
@@ -12,12 +18,13 @@ from triality8.clifford import (
     form_to_map,
     iota,
     kappa,
+    kappa_block,
     kappa_form,
     mu,
     q_adjoint_check,
 )
 from triality8.exterior import Multivector, blades_of_grade, indices_of
-from triality8.scalars import ONE, Scalar
+from triality8.scalars import I, ONE, SQRT3, Scalar, half
 
 e = Multivector.blade
 
@@ -58,6 +65,51 @@ def test_kappa_form_blades_match_reference_products():
             expected = la.mat_mul(expected, _reference_generator(i))
         got = kappa_form(Multivector({mask: ONE}))
         assert la.mat_eq(got, expected), f"mask {mask:08b}"
+
+
+CHIRALITY_PAIRS = [(t, s) for t in "+-" for s in "+-"]
+
+
+def test_kappa_block_matches_dense_block_on_blades():
+    for mask in range(256):
+        alpha = Multivector({mask: ONE})
+        M = kappa_form(alpha)
+        for t, s in CHIRALITY_PAIRS:
+            assert la.mat_eq(kappa_block(alpha, t, s), block(M, t, s)), (mask, t, s)
+
+
+def test_kappa_block_matches_dense_block_on_mixed_grades():
+    rng = random.Random(21)
+    coeffs = [Scalar(2), Scalar(-1) / 3, SQRT3, I, ONE + I * 2]
+    for _ in range(40):
+        alpha = Multivector.zero()
+        for _ in range(rng.randint(1, 12)):
+            alpha = alpha + Multivector({rng.randrange(256): rng.choice(coeffs)})
+        M = kappa_form(alpha)
+        for t, s in CHIRALITY_PAIRS:
+            assert la.mat_eq(kappa_block(alpha, t, s), block(M, t, s))
+
+
+def _isometry_dense(A):
+    """M^T M = Id through the full product: the oracle for is_isometry."""
+    return la.mat_eq(la.mat_mul(la.transpose(A.matrix), A.matrix), la.identity(8))
+
+
+def test_is_isometry_matches_dense_gram(rho):
+    rng = random.Random(23)
+    forms = [rho, e(1, 2, 3), e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 6) * half()]
+    forms += [rho * half(), e(1, 2, 3) + e(1, 4, 5), e(1, 2, 3) * I, rho * 2]
+    forms += [_random_unit_3form(rng) for _ in range(60)]
+    verdicts = [_isometry_dense(form_to_map(f)) for f in forms]
+    assert [form_to_map(f).is_isometry() for f in forms] == verdicts
+    assert True in verdicts and False in verdicts
+    for _ in range(10):
+        R = _pythagorean_rotation(rng)
+        assert SpinorMap(R, "v", "+").is_isometry()
+        i, j = rng.randrange(8), rng.randrange(8)
+        R[i][j] = R[i][j] + Scalar(1) / 7
+        A = SpinorMap(R, "v", "+")
+        assert not A.is_isometry() and not _isometry_dense(A)
 
 
 def test_kappa_is_linear_on_vectors():

@@ -5,6 +5,7 @@ import pytest
 
 from triality8 import linalg as la
 from triality8.claims import _pythagorean_rotation, _random_unit_3form
+from triality8.clifford import block, kappa_form
 from triality8.exterior import Multivector, apply_linear, blades_of_grade, mask_of
 from triality8.orbits import (
     _TRIPLES,
@@ -19,7 +20,7 @@ from triality8.orbits import (
     lie_classify,
     orbit_classify,
 )
-from triality8.scalars import ONE, SQRT3, ZERO, Scalar, half
+from triality8.scalars import I, ONE, SQRT3, ZERO, Scalar, half
 
 e = Multivector.blade
 
@@ -31,6 +32,54 @@ def rand3(rng, n=4):
             {rng.choice(blades_of_grade(3)): Scalar(rng.randint(-3, 3))}
         )
     return out
+
+
+def jac_dense(rho, tau):
+    """Jac(rho (x) tau) over all 70 four-index sets, 6 pairings and 8
+    contraction indices: the oracle for the sparse jac."""
+
+    def pair(x, y, z, w):
+        s = ZERO
+        for k in range(1, 9):
+            r = coeff3(rho, x, y, k)
+            if r:
+                t = coeff3(tau, z, w, k)
+                if t:
+                    s = s + r * t
+        return s
+
+    sixth = ONE / 6
+    out = {}
+    for a, b, c, d in combinations(range(1, 9), 4):
+        v = (
+            pair(a, b, c, d)
+            + pair(a, c, d, b)
+            + pair(a, d, b, c)
+            + pair(b, c, a, d)
+            + pair(b, d, c, a)
+            + pair(c, d, a, b)
+        )
+        if v:
+            out[mask_of((a, b, c, d))] = v * sixth
+    return Multivector(out)
+
+
+def test_jac_matches_dense_oracle(rho):
+    rng = random.Random(19)
+    units = [_random_unit_3form(rng) for _ in range(200)]
+    for r in units:
+        assert jac(r, r) == jac_dense(r, r)
+    models = [rho, e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 6) * half()]
+    models += [apply_linear(_pythagorean_rotation(rng), rho) for _ in range(2)]
+    pairs = list(zip(units[:40], units[40:80]))
+    pairs += [(rand3(rng, 6), rand3(rng, 6)) for _ in range(40)]
+    pairs += [(f, g) for f in models for g in models + [rand3(rng) * I] if f is not g]
+    nonzero = 0
+    for r, t in pairs:
+        got = jac(r, t)
+        assert got == jac_dense(r, t)
+        nonzero += not got.is_zero()
+    assert nonzero > len(pairs) // 2
 
 
 def test_jac_anchors(rho):
@@ -45,6 +94,18 @@ def test_gamma_identity_on_models(rho):
     for ch in "+-":
         assert la.mat_eq(gamma(rho, rho, ch).matrix, Id8)
         assert la.mat_eq(gamma(e(1, 2, 3), e(1, 2, 3), ch).matrix, Id8)
+
+
+def test_gamma_matches_full_product(rho):
+    """gamma against the chirality block of the 16x16 product."""
+    rng = random.Random(29)
+    forms = [rho, apply_linear(_pythagorean_rotation(rng), rho), rand3(rng) * I]
+    forms += [rand3(rng) for _ in range(8)] + [_random_unit_3form(rng) for _ in range(8)]
+    for _ in range(20):
+        r, t = rng.choice(forms), rng.choice(forms)
+        M = la.mat_mul(kappa_form(r), kappa_form(t))
+        for ch in "+-":
+            assert la.mat_eq(gamma(r, t, ch).matrix, block(M, ch, ch))
 
 
 def test_gamma_transpose_law():
@@ -70,6 +131,11 @@ def test_bracket_round_trip_and_lie_types(rho):
     assert lie_classify(bracket_from_form(e(1, 2, 3))) == (5, 3, True)
     assert lie_classify(bracket_from_form(e(1, 2, 3) + e(4, 5, 6))) == (2, 6, True)
     assert form_from_bracket(b) == rho
+    assert b.c == {key: rho.coeff(*key) for key in combinations(range(1, 9), 3)
+                   if rho.coeff(*key)}
+    for bad in (e(1, 2), e(1, 2, 3) + e(1, 2, 3, 4)):
+        with pytest.raises(OrbitError, match="expected a 3-form"):
+            bracket_from_form(bad)
 
 
 def test_orbit_classification(rho):
