@@ -5,28 +5,69 @@ canonical invariant structures with their projections and elliptic
 complex, torsion operators on spinor-valued forms, orthonormal-frame
 differential geometry, characteristic-class predicates, and a claim-based
 verification CLI.
+
+Importing the package runs none of its submodules: each public name below
+is resolved from its submodule on first use (PEP 562).  The front end and
+the claim registry hold the other submodules through ``lazy``, so a
+process runs only the modules its command uses.
 """
 
-from .scalars import CScalar, I, ONE, SQRT3, Scalar
-from .exterior import Multivector, parse_form
-from .orbits import OrbitClass, orbit_classify
-from .structures import canonical_omega, canonical_rho, sigma_canonical
-from .obstructions import CharData
+import importlib
+import importlib.util
+import sys
 
-__all__ = [
-    "CScalar",
-    "CharData",
-    "I",
-    "Multivector",
-    "ONE",
-    "OrbitClass",
-    "SQRT3",
-    "Scalar",
-    "canonical_omega",
-    "canonical_rho",
-    "orbit_classify",
-    "parse_form",
-    "sigma_canonical",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "CScalar": "scalars",
+    "I": "scalars",
+    "ONE": "scalars",
+    "SQRT3": "scalars",
+    "Scalar": "scalars",
+    "Multivector": "exterior",
+    "parse_form": "exterior",
+    "OrbitClass": "orbits",
+    "orbit_classify": "orbits",
+    "canonical_omega": "structures",
+    "canonical_rho": "structures",
+    "sigma_canonical": "structures",
+    "CharData": "obstructions",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """A public name, or a submodule, imported now: a submodule that
+    ``lazy`` left waiting runs, as under an import statement."""
+    fullname = f"{__name__}.{name}"
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif importlib.util.find_spec(fullname) is not None:
+        value = importlib.import_module(fullname)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+def lazy(name):
+    """The submodule triality8.<name>, whose code runs when one of its
+    attributes is first read (importlib.util.LazyLoader).  Until then it
+    waits in sys.modules but not on the package, so that reaching it
+    through the package (``from triality8 import claims``), or by an import
+    statement, still runs it at once."""
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module

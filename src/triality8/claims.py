@@ -5,6 +5,11 @@ actual values against expected ones.
 
 Claims are pure and independent; randomized ones take an explicit seed
 (fixed default) so runs are reproducible.
+
+Importing the registry runs only ``scalars`` (the claim classes derive
+from ``Frozen``).  The other submodules are held through
+``triality8.lazy`` and run when a claim first uses one of their names, so
+a process that verifies one claim runs only the modules that claim needs.
 """
 
 from __future__ import annotations
@@ -12,49 +17,24 @@ from __future__ import annotations
 import random
 import time
 
-from . import frames as fr
-from . import linalg as la
-from . import obstructions as ob
-from . import torsion as to
-from .clifford import (
-    Spinor,
-    act2_svf,
-    block,
-    form_to_map,
-    iota,
-    kappa,
-    kappa_form,
-    mu,
-)
-from .exterior import (
-    Multivector,
-    apply_linear,
-    blades_of_grade,
-    parse_form,
-    to_vector,
-)
-from .orbits import bracket_from_form, gamma, jac, orbit_classify
+from . import lazy
 from .scalars import Frozen, I, ONE, SQRT3, Scalar
-from .structures import (
-    L2_MASKS,
-    betti,
-    c_apply,
-    calibration,
-    calibration_sample,
-    canonical_omega,
-    canonical_rho,
-    kaehler_forms,
-    l2_form,
-    p3,
-    project2,
-    sigma_canonical,
-    sp_stabilizer_residuals,
-    stabilizer_cached,
-)
+
+cf = lazy("clifford")
+ex = lazy("exterior")
+fr = lazy("frames")
+la = lazy("linalg")
+ob = lazy("obstructions")
+orb = lazy("orbits")
+st = lazy("structures")
+to = lazy("torsion")
 
 DEFAULT_SEED = 20260826
 
-e = Multivector.blade
+
+def e(*indices):
+    """The basis blade e_{i1...ik}."""
+    return ex.Multivector.blade(*indices)
 
 
 class Claim(Frozen):
@@ -192,11 +172,11 @@ def _random_unit_3form(rng):
         (Scalar(2) / 3, Scalar(2) / 3, ONE / 3),
     ]
     coeffs = rng.choice(patterns)
-    masks = rng.sample(blades_of_grade(3), len(coeffs))
+    masks = rng.sample(ex.blades_of_grade(3), len(coeffs))
     terms = {}
     for m, c in zip(masks, coeffs):
         terms[m] = c if rng.random() < 0.5 else -c
-    return Multivector(terms)
+    return ex.Multivector(terms)
 
 
 # -- Clifford model ---------------------------------------------------------
@@ -214,7 +194,7 @@ def _run_kappa_table():
         for s, i, j in entries:
             M[i - 1][j - 1] = Scalar(-s)
             M[j - 1][i - 1] = Scalar(s)
-        if not la.mat_eq(kappa(e(m)), M):
+        if not la.mat_eq(cf.kappa(e(m)), M):
             return _verdict(False, f"generator {m}")
     return "ok"
 
@@ -226,11 +206,11 @@ def _run_kappa_table():
 )
 def _run_clifford_relations():
     for i in range(1, 9):
-        Ki = kappa(e(i))
+        Ki = cf.kappa(e(i))
         if not la.mat_eq(la.mat_mul(Ki, Ki), la.mat_scale(la.identity(16), Scalar(-1))):
             return _verdict(False, f"square of generator {i}")
         for j in range(i + 1, 9):
-            Kj = kappa(e(j))
+            Kj = cf.kappa(e(j))
             A = la.mat_add(la.mat_mul(Ki, Kj), la.mat_mul(Kj, Ki))
             if not la.is_zero_matrix(A):
                 return _verdict(False, f"anticommutator {i},{j}")
@@ -243,13 +223,13 @@ def _run_clifford_relations():
     "ok", (1,),
 )
 def _run_volume():
-    vol = kappa_form(e(1, 2, 3, 4, 5, 6, 7, 8))
+    vol = cf.kappa_form(e(1, 2, 3, 4, 5, 6, 7, 8))
     Id8 = la.identity(8)
     ok = (
-        la.mat_eq(block(vol, "+", "+"), Id8)
-        and la.mat_eq(block(vol, "-", "-"), la.mat_scale(Id8, Scalar(-1)))
-        and la.is_zero_matrix(block(vol, "+", "-"))
-        and la.is_zero_matrix(block(vol, "-", "+"))
+        la.mat_eq(cf.block(vol, "+", "+"), Id8)
+        and la.mat_eq(cf.block(vol, "-", "-"), la.mat_scale(Id8, Scalar(-1)))
+        and la.is_zero_matrix(cf.block(vol, "+", "-"))
+        and la.is_zero_matrix(cf.block(vol, "-", "+"))
     )
     return _verdict(ok)
 
@@ -263,7 +243,7 @@ def _run_volume():
     "-1", (2,),
 )
 def _run_det_rho1():
-    return str(form_to_map(canonical_rho()).det())
+    return str(cf.form_to_map(st.canonical_rho()).det())
 
 
 @_claim(
@@ -273,7 +253,7 @@ def _run_det_rho1():
     "ok", (2,),
 )
 def _run_rho_matrix():
-    A = form_to_map(canonical_rho())
+    A = cf.form_to_map(st.canonical_rho())
     R = [[_scal(x) / 4 for x in row] for row in _RHOMAP_TIMES_4]
     return _verdict(la.mat_eq(A.matrix, R) and A.is_isometry())
 
@@ -288,7 +268,7 @@ def _run_rho_matrix():
     "L1_psu3, reversing", (3,),
 )
 def _run_classify_rho():
-    oc = orbit_classify(canonical_rho())
+    oc = orb.orbit_classify(st.canonical_rho())
     return f"{oc.kind}, {oc.orientation}"
 
 
@@ -299,7 +279,7 @@ def _run_classify_rho():
     "L3_sp1sp2, preserving", (3,),
 )
 def _run_classify_e123():
-    oc = orbit_classify(e(1, 2, 3))
+    oc = orb.orbit_classify(e(1, 2, 3))
     return f"{oc.kind}, {oc.orientation}"
 
 
@@ -310,7 +290,7 @@ def _run_classify_e123():
     "L2_su2su2_u1, preserving, (3/4, 1/4)", (3,),
 )
 def _run_classify_mixed():
-    oc = orbit_classify(e(1, 2, 3) * (SQRT3 / 2) + e(4, 5, 6) * (ONE / 2))
+    oc = orb.orbit_classify(e(1, 2, 3) * (SQRT3 / 2) + e(4, 5, 6) * (ONE / 2))
     return f"{oc.kind}, {oc.orientation}, ({oc.params[0]}, {oc.params[1]})"
 
 
@@ -323,15 +303,15 @@ def _run_classify_mixed():
 def _run_conjugation(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     models = [
-        canonical_rho(),
+        st.canonical_rho(),
         e(1, 2, 3),
         e(1, 2, 3) * (SQRT3 / 2) + e(4, 5, 6) * (ONE / 2),
     ]
-    refs = [orbit_classify(f) for f in models]
+    refs = [orb.orbit_classify(f) for f in models]
     for n in range(100):
         M = _pythagorean_rotation(rng)
         f = models[n % 3]
-        oc = orbit_classify(apply_linear(M, f))
+        oc = orb.orbit_classify(ex.apply_linear(M, f))
         if oc != refs[n % 3]:
             return _verdict(False, f"trial {n}")
     return "ok"
@@ -350,13 +330,13 @@ def _run_susy_equivalence(seed=DEFAULT_SEED):
     seen = {True: 0, False: 0}
     for n in range(200):
         r = _random_unit_3form(rng)
-        j0 = jac(r, r).is_zero()
-        g_id = la.mat_eq(gamma(r, r, "+").matrix, Id8) and la.mat_eq(
-            gamma(r, r, "-").matrix, Id8
+        j0 = orb.jac(r, r).is_zero()
+        g_id = la.mat_eq(orb.gamma(r, r, "+").matrix, Id8) and la.mat_eq(
+            orb.gamma(r, r, "-").matrix, Id8
         )
         if g_id != j0:
             return _verdict(False, f"gamma/jac split at trial {n}")
-        if j0 != bracket_from_form(r).jacobi_holds():
+        if j0 != orb.bracket_from_form(r).jacobi_holds():
             return _verdict(False, f"jac/jacobi split at trial {n}")
         seen[j0] += 1
     if not (seen[True] and seen[False]):
@@ -374,13 +354,13 @@ def _run_susy_equivalence(seed=DEFAULT_SEED):
     "ok", (5,),
 )
 def _run_stab_rho():
-    stab = stabilizer_cached("PSU3")
+    stab = st.stabilizer_cached("PSU3")
     if stab.dim != 8:
         return _verdict(False, f"dim {stab.dim}")
-    rho = canonical_rho()
+    rho = st.canonical_rho()
     vecs = []
     for i in range(1, 9):
-        v = to_vector(e(i).contract(rho), L2_MASKS)
+        v = ex.to_vector(e(i).contract(rho), st.L2_MASKS)
         if not stab.contains(v):
             return _verdict(False, f"e{i} -| rho outside stabilizer")
         vecs.append(list(v))
@@ -396,11 +376,11 @@ def _run_stab_rho():
     "ok", (5,),
 )
 def _run_stab_omega():
-    stab = stabilizer_cached("SP1SP2")
+    stab = st.stabilizer_cached("SP1SP2")
     if stab.dim != 13:
         return _verdict(False, f"dim {stab.dim}")
     for v in stab.basis:
-        res = sp_stabilizer_residuals(l2_form(v))
+        res = st.sp_stabilizer_residuals(st.l2_form(v))
         if len(res) != 15 or any(res):
             return _verdict(False, "residual equation fails")
     return "ok"
@@ -416,17 +396,17 @@ def _run_stab_omega():
     "ok", (6,), seeded=True,
 )
 def _run_omega_eigen(seed=DEFAULT_SEED):
-    Om = canonical_omega()
-    for w in kaehler_forms():
+    Om = st.canonical_omega()
+    for w in st.kaehler_forms():
         if w.contract(Om) != w * 5:
             return _verdict(False, "Kaehler eigenvalue")
     rng = random.Random(seed)
     for _ in range(5):
-        alpha = Multivector(
-            {m: Scalar(rng.randint(-3, 3)) for m in rng.sample(L2_MASKS, 6)}
+        alpha = ex.Multivector(
+            {m: Scalar(rng.randint(-3, 3)) for m in rng.sample(st.L2_MASKS, 6)}
         )
         for sel, ev in (("sp_3", 5), ("sp_10", -3), ("sp_15", 1)):
-            part = project2(alpha, sel)
+            part = st.project2(alpha, sel)
             if part.contract(Om) != part * ev:
                 return _verdict(False, sel)
     return "ok"
@@ -441,21 +421,21 @@ def _run_omega_eigen(seed=DEFAULT_SEED):
 def _run_proj_idempotent(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     for _ in range(5):
-        alpha = Multivector(
+        alpha = ex.Multivector(
             {m: Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
-             for m in rng.sample(L2_MASKS, 6)}
+             for m in rng.sample(st.L2_MASKS, 6)}
         )
-        a8 = project2(alpha, "psu3_8")
-        a20 = project2(alpha, "psu3_20")
-        if a8 + a20 != alpha or project2(a20, "psu3_20") != a20:
+        a8 = st.project2(alpha, "psu3_8")
+        a20 = st.project2(alpha, "psu3_20")
+        if a8 + a20 != alpha or st.project2(a20, "psu3_20") != a20:
             return _verdict(False, "psu3 family")
-        if not project2(a8, "psu3_20").is_zero():
+        if not st.project2(a8, "psu3_20").is_zero():
             return _verdict(False, "psu3 orthogonality")
-        s3, s10, s15 = (project2(alpha, s) for s in ("sp_3", "sp_10", "sp_15"))
+        s3, s10, s15 = (st.project2(alpha, s) for s in ("sp_3", "sp_10", "sp_15"))
         if s3 + s10 + s15 != alpha:
             return _verdict(False, "sp completeness")
         for part, sel in ((s3, "sp_3"), (s10, "sp_10"), (s15, "sp_15")):
-            if project2(part, sel) != part:
+            if st.project2(part, sel) != part:
                 return _verdict(False, f"sp idempotence {sel}")
     return "ok"
 
@@ -468,13 +448,13 @@ def _run_proj_idempotent(seed=DEFAULT_SEED):
 )
 def _run_l210(seed=DEFAULT_SEED):
     rng = random.Random(seed)
-    rho_c = canonical_rho().complexify()
+    rho_c = st.canonical_rho().complexify()
     for _ in range(5):
-        alpha = Multivector(
-            {m: Scalar(rng.randint(-3, 3)) for m in rng.sample(L2_MASKS, 6)}
+        alpha = ex.Multivector(
+            {m: Scalar(rng.randint(-3, 3)) for m in rng.sample(st.L2_MASKS, 6)}
         )
         for sel, sgn in (("psu3_10+", -1), ("psu3_10-", 1)):
-            beta = project2(alpha, sel)
+            beta = st.project2(alpha, sel)
             if beta.act2(rho_c) != (rho_c ^ beta).star() * (I * SQRT3 * sgn):
                 return _verdict(False, sel)
     return "ok"
@@ -489,10 +469,8 @@ def _run_l210(seed=DEFAULT_SEED):
     "ok", (7,),
 )
 def _run_c_squared():
-    from .structures import c_operator
-
     for k in range(7):
-        if not la.is_zero_matrix(la.mat_mul(c_operator(k + 1), c_operator(k))):
+        if not la.is_zero_matrix(la.mat_mul(st.c_operator(k + 1), st.c_operator(k))):
             return _verdict(False, f"degree {k}")
     return "ok"
 
@@ -503,7 +481,7 @@ def _run_c_squared():
     "(1, 0, 0, 1, 0, 1, 0, 0, 1)", (7,),
 )
 def _run_betti():
-    return str(tuple(betti()))
+    return str(tuple(st.betti()))
 
 
 @_claim(
@@ -513,10 +491,10 @@ def _run_betti():
     "ok", (7,),
 )
 def _run_c2_action():
-    rho = canonical_rho()
-    for m in L2_MASKS:
-        alpha = Multivector({m: ONE})
-        if c_apply(alpha) != alpha.act2(rho):
+    rho = st.canonical_rho()
+    for m in st.L2_MASKS:
+        alpha = ex.Multivector({m: ONE})
+        if st.c_apply(alpha) != alpha.act2(rho):
             return _verdict(False, str(alpha))
     return "ok"
 
@@ -529,7 +507,7 @@ def _run_c2_action():
 )
 def _run_p3_anchors():
     a = e(1, 2, 8)
-    p = p3(a)
+    p = st.p3(a)
     want = (
         e(1, 2, 8) * 5 + e(3, 4, 5) * SQRT3 + e(3, 6, 7) * SQRT3
         - e(4, 5, 8) * 2 + e(6, 7, 8) * 2
@@ -540,14 +518,14 @@ def _run_p3_anchors():
         e(1, 2, 8) * 39 + e(3, 4, 5) * (SQRT3 * 7) + e(3, 6, 7) * (SQRT3 * 7)
         - e(4, 5, 8) * 18 + e(6, 7, 8) * 18
     ) * (ONE / 64)
-    if p3(p) != want2:
+    if st.p3(p) != want2:
         return _verdict(False, "p3^2")
     want3 = (
         e(1, 2, 4, 5) * (SQRT3 * 7) + e(1, 2, 6, 7) * (SQRT3 * 7)
         - e(1, 4, 6, 8) * 9 - e(1, 5, 7, 8) * 9
         + e(2, 4, 7, 8) * 9 - e(2, 5, 6, 8) * 9
     ) * (ONE / 32)
-    if c_apply(p) != want3:
+    if st.c_apply(p) != want3:
         return _verdict(False, "c3 p3")
     return "ok"
 
@@ -563,7 +541,7 @@ def _run_p3_anchors():
 def _run_sigma_isometry():
     for kind, chis in (("PSU3", ("+", "-")), ("SP1SP2", ("+",))):
         for chi in chis:
-            if not sigma_canonical(kind, chi).is_isometry():
+            if not st.sigma_canonical(kind, chi).is_isometry():
                 return _verdict(False, f"{kind} {chi}")
     return "ok"
 
@@ -576,9 +554,9 @@ def _run_sigma_isometry():
 )
 def _run_sigma_dets():
     vals = (
-        sigma_canonical("PSU3", "+").det(),
-        sigma_canonical("PSU3", "-").det(),
-        sigma_canonical("SP1SP2", "+").det(),
+        st.sigma_canonical("PSU3", "+").det(),
+        st.sigma_canonical("PSU3", "-").det(),
+        st.sigma_canonical("SP1SP2", "+").det(),
     )
     return f"({vals[0]}, {vals[1]}, {vals[2]})"
 
@@ -592,7 +570,7 @@ def _run_sigma_dets():
 def _run_sigma_mu():
     for kind, chis in (("PSU3", ("+", "-")), ("SP1SP2", ("+",))):
         for chi in chis:
-            if not mu(sigma_canonical(kind, chi)).is_zero():
+            if not cf.mu(st.sigma_canonical(kind, chi)).is_zero():
                 return _verdict(False, f"{kind} {chi}")
     return "ok"
 
@@ -605,11 +583,11 @@ def _run_sigma_mu():
 )
 def _run_sigma_annihilated():
     for kind, chis in (("PSU3", ("+", "-")), ("SP1SP2", ("+",))):
-        stab = stabilizer_cached(kind)
+        stab = st.stabilizer_cached(kind)
         for chi in chis:
-            s = sigma_canonical(kind, chi)
+            s = st.sigma_canonical(kind, chi)
             for v in stab.basis:
-                if not act2_svf(l2_form(v), s).is_zero():
+                if not cf.act2_svf(st.l2_form(v), s).is_zero():
                     return _verdict(False, f"{kind} {chi}")
     return "ok"
 
@@ -622,8 +600,8 @@ def _run_sigma_annihilated():
 def _run_mu_iota():
     for chi in ("+", "-"):
         for a in range(8):
-            psi = Spinor.basis(chi, a)
-            if mu(iota(psi)) != psi:
+            psi = cf.Spinor.basis(chi, a)
+            if cf.mu(cf.iota(psi)) != psi:
                 return _verdict(False, f"{chi} {a}")
     return "ok"
 
@@ -668,10 +646,10 @@ def _run_sp_kernels():
 def _run_L_anchor():
     if to._l_scale() != ONE:
         return _verdict(False, "calibration constant")
-    t1 = e(1).contract(canonical_omega()) * 4
+    t1 = e(1).contract(st.canonical_omega()) * 4
     if to.L_op(t1) != t1 * 2:
         return _verdict(False, "eigenvalue")
-    want = parse_form(
+    want = ex.parse_form(
         "-6 e234 + 2 e256 - 2 e278 + 2 e357 + 2 e368 + 2 e458 - 2 e467"
     ) * 8
     return _verdict(t1 * 2 == want, "expansion")
@@ -706,11 +684,11 @@ def _run_dhat_anchor():
     "ok", (10,),
 )
 def _run_surjd():
-    rho = canonical_rho()
-    for m in blades_of_grade(3):
-        alpha = Multivector({m: ONE})
+    rho = st.canonical_rho()
+    for m in ex.blades_of_grade(3):
+        alpha = ex.Multivector({m: ONE})
         perp = alpha - rho * alpha.inner(rho)
-        if c_apply(perp) != to.dhat(to.iota_rho_perp(perp)) * (ONE / 2):
+        if st.c_apply(perp) != to.dhat(to.iota_rho_perp(perp)) * (ONE / 2):
             return _verdict(False, str(alpha))
     if not to.iota_rho_perp(rho).is_zero():
         return _verdict(False, "iota(rho)")
@@ -788,7 +766,7 @@ def _run_tau12():
 )
 def _run_frame_su3():
     F, _, _ = fr.catalog("su3_biinvariant")
-    if not all(a.is_zero() for a in fr.nabla_form(canonical_rho(), F)):
+    if not all(a.is_zero() for a in fr.nabla_form(st.canonical_rho(), F)):
         return _verdict(False, "nabla rho")
     ok = la.mat_eq(fr.ricci(F), la.mat_scale(la.identity(8), Scalar(3) / 16))
     return _verdict(ok, "ricci")
@@ -826,7 +804,7 @@ def _run_nil_ricci():
 )
 def _run_nil_torsion():
     F, _, _ = fr.catalog("psu3_nilmanifold")
-    rho = canonical_rho()
+    rho = st.canonical_rho()
     T = fr.intrinsic_torsion(F, "PSU3")
     if T.is_zero():
         return _verdict(False, "torsion zero")
@@ -835,12 +813,10 @@ def _run_nil_torsion():
     if to.dstar_hat(T) != -fr.codifferential(rho, F):
         return _verdict(False, "d* identity")
     gk = to.gkind("PSU3")
-    from .structures import l2_vector
-
     M = la.transpose([list(b) for b in gk.gperp.basis])
     coords = []
     for a in T.projected().slots:
-        coords.extend(la.solve(M, l2_vector(a)))
+        coords.extend(la.solve(M, st.l2_vector(a)))
     if not to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords):
         return _verdict(False, "kernel membership")
     ric = fr.ricci(F)
@@ -893,7 +869,7 @@ def _run_frame_gh():
     F, _, _ = fr.catalog("gibbons_hawking", Scalar(1))
     if fr.harmonic_check(F, "PSU3") != (True, True):
         return _verdict(False, "harmonicity")
-    nab = fr.nabla_form(canonical_rho(), F)
+    nab = fr.nabla_form(st.canonical_rho(), F)
     w1p = e(4, 7) + e(5, 6)
     w2p = e(4, 6) - e(5, 7)
     want4 = (w1p ^ e(8)) * (-(SQRT3) / 4)
@@ -903,7 +879,7 @@ def _run_frame_gh():
     if any(nab[i] for i in range(8) if i not in (3, 4)):
         return _verdict(False, "extra slots")
     T = fr.intrinsic_torsion(F, "PSU3")
-    rho = canonical_rho()
+    rho = st.canonical_rho()
     ok = (
         to.dhat(T) == fr.coframe_d(rho, F)
         and to.dstar_hat(T) == -fr.codifferential(rho, F)
@@ -921,8 +897,8 @@ def _run_frame_gh():
 )
 def _run_calib_equality():
     ok = (
-        calibration("PSU3", [e(1), e(2), e(3)]) == ONE
-        and calibration("SP1SP2", [e(1), e(2), e(3), -e(4)]) == ONE
+        st.calibration("PSU3", [e(1), e(2), e(3)]) == ONE
+        and st.calibration("SP1SP2", [e(1), e(2), e(3), -e(4)]) == ONE
     )
     return _verdict(ok)
 
@@ -934,8 +910,8 @@ def _run_calib_equality():
     "ok", (12,), seeded=True,
 )
 def _run_calib_bound(seed=DEFAULT_SEED):
-    m1 = calibration_sample("PSU3", 10000, seed=seed)
-    m2 = calibration_sample("SP1SP2", 10000, seed=seed)
+    m1 = st.calibration_sample("PSU3", 10000, seed=seed)
+    m2 = st.calibration_sample("SP1SP2", 10000, seed=seed)
     return _verdict(m1 <= 1 + 1e-9 and m2 <= 1 + 1e-9, f"{m1} {m2}")
 
 

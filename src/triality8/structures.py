@@ -235,14 +235,16 @@ def _c2_then_adjoint(alpha):
     return from_vector(u, L2_MASKS)
 
 
-def project2(alpha, selector):
-    """Invariant projections of a 2-form, per structure group."""
-    if not alpha.is_homogeneous(2):
-        raise ValueError("project2 expects a 2-form")
+PROJECTIONS = ("psu3_8", "psu3_20", "psu3_10+", "psu3_10-", "sp_3", "sp_10", "sp_15")
+
+
+def _project2_formula(alpha, selector):
+    """The invariant projections of a 2-form by their defining formulas;
+    they build the columns of ``projection_columns``."""
     if selector == "psu3_20":
         return _c2_then_adjoint(alpha) * (Scalar(4) / 3)
     if selector == "psu3_8":
-        return alpha - project2(alpha, "psu3_20")
+        return alpha - _project2_formula(alpha, "psu3_20")
     if selector in ("psu3_10+", "psu3_10-"):
         # halves of the 20-part picked out by the eigen-identity
         # beta * rho = -+ sqrt(3) i star(rho ^ beta)
@@ -250,16 +252,44 @@ def project2(alpha, selector):
         a = _c2_then_adjoint(alpha) * (Scalar(2) / 3)
         b = (c_apply(alpha).complexify() ^ rho).star() * (SQRT3 * 2 / Scalar(3)) * I
         return a.complexify() + (-b if selector.endswith("+") else b)
-    if selector in ("sp_3", "sp_10", "sp_15"):
-        om = canonical_omega()
-        a1 = alpha.contract(om)
-        a2 = a1.contract(om)
-        if selector == "sp_3":
-            return (alpha * Scalar(-3) + a1 * 2 + a2) * (ONE / 32)
-        if selector == "sp_10":
-            return (alpha * 5 - a1 * 6 + a2) * (ONE / 32)
-        return (alpha * 15 + a1 * 2 - a2) * (ONE / 16)
-    raise ValueError(f"unknown selector {selector!r}")
+    om = canonical_omega()
+    a1 = alpha.contract(om)
+    a2 = a1.contract(om)
+    if selector == "sp_3":
+        return (alpha * Scalar(-3) + a1 * 2 + a2) * (ONE / 32)
+    if selector == "sp_10":
+        return (alpha * 5 - a1 * 6 + a2) * (ONE / 32)
+    return (alpha * 15 + a1 * 2 - a2) * (ONE / 16)
+
+
+@lru_cache(maxsize=None)
+def projection_columns(selector):
+    """The images of the 28 basis 2-forms (in L2_MASKS order) under one
+    projection, built once by the defining formulas."""
+    if selector not in PROJECTIONS:
+        raise ValueError(f"unknown selector {selector!r}")
+    return tuple(_project2_formula(Multivector({m: ONE}), selector) for m in L2_MASKS)
+
+
+_L2_POSITION = {m: n for n, m in enumerate(L2_MASKS)}
+
+
+def project2(alpha, selector):
+    """Invariant projections of a 2-form, per structure group: "psu3_8",
+    "psu3_20" and its complex halves "psu3_10+"/"psu3_10-" for the 3-form,
+    "sp_3", "sp_10", "sp_15" for the 4-form.  Each is a complex-linear map,
+    applied as the sum of the input's coefficients times the cached images
+    of its basis 2-forms (``projection_columns``)."""
+    if not alpha.is_homogeneous(2):
+        raise ValueError("project2 expects a 2-form")
+    columns = projection_columns(selector)
+    out = {}
+    for m, c in alpha.terms.items():
+        for k, v in columns[_L2_POSITION[m]].terms.items():
+            t = c * v
+            s = out.get(k)
+            out[k] = t if s is None else s + t
+    return Multivector(out)
 
 
 # -- supersymmetric maps (reference matrices) ------------------------------

@@ -38,6 +38,7 @@ from .structures import (
     l2_form,
     l2_vector,
     project2,
+    projection_columns,
     sigma_canonical,
     stabilizer_cached,
 )
@@ -80,25 +81,17 @@ def gkind(kind):
         gamma, degree, selector, chis = canonical_omega(), 4, "sp_15", ("+",)
     else:
         raise TorsionError(f"unknown kind {kind!r}")
-    vectors = [
-        l2_vector(project2(Multivector({m: ONE}), selector)) for m in L2_MASKS
-    ]
-    gperp = Subspace("L2", vectors)
+    gperp = Subspace("L2", [l2_vector(a) for a in projection_columns(selector)])
     forms = tuple(l2_form(v) for v in gperp.basis)
     return GKind(kind, gamma, degree, stabilizer_cached(kind), gperp, forms,
                  selector, chis)
 
 
 def _project_slot(kind, a):
-    """Slot-2 projection to g-perp, complex-linearly."""
+    """Slot-2 projection to g-perp (project2 is complex-linear)."""
     if a.is_zero():
         return a
-    sel = gkind(kind).selector
-    if a.is_complex():
-        re, im = a.real_imag()
-        out = project2(re, sel).complexify() + project2(im, sel).complexify() * I
-        return out
-    return project2(a, sel)
+    return project2(a, gkind(kind).selector)
 
 
 class TorsionTensor(Frozen):

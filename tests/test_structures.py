@@ -1,6 +1,9 @@
 import random
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as hs
+
 from triality8 import linalg as la
 from triality8.clifford import act2_svf, mu
 from triality8.exterior import Multivector, indices_of, parse_form, to_vector
@@ -17,6 +20,7 @@ from triality8.structures import (
     l2_form,
     lambda4_split,
     p3,
+    PROJECTIONS,
     project2,
     roots,
     sigma_canonical,
@@ -26,7 +30,7 @@ from triality8.structures import (
     su2_triple_check,
     weight_eigen_check,
 )
-from triality8.structures import _det3, _det4
+from triality8.structures import _det3, _det4, _project2_formula
 
 e = Multivector.blade
 
@@ -115,6 +119,54 @@ def test_projections(rho, omega):
         assert p10p + p10m == a20.complexify()
         for beta, sgn in ((p10p, -1), (p10m, 1)):
             assert beta.act2(rho_c) == (rho_c ^ beta).star() * (I * SQRT3 * sgn)
+
+
+# random exact 2-forms over Q(r3)[i]: all coefficients real, or all complex
+_rationals = hs.fractions(min_value=-3, max_value=3, max_denominator=4)
+_reals = hs.builds(Scalar, _rationals, _rationals)
+_complexes = hs.builds(CScalar, _reals, _reals)
+_two_forms = hs.one_of(*(
+    hs.dictionaries(hs.sampled_from(L2_MASKS), c, max_size=10).map(Multivector)
+    for c in (_reals, _complexes)
+))
+
+
+def _types(alpha):
+    return {m: type(c) for m, c in alpha.terms.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_forms)
+def test_project2_matches_formulas(alpha):
+    """The cached columns, summed over the input's terms, give what the
+    defining formulas give on the whole form: the same values and the
+    same coefficient types."""
+    for sel in PROJECTIONS:
+        got, want = project2(alpha, sel), _project2_formula(alpha, sel)
+        assert got == want, sel
+        assert _types(got) == _types(want), sel
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_forms)
+def test_projection_identities(alpha):
+    parts = {sel: project2(alpha, sel) for sel in PROJECTIONS}
+    for sel, part in parts.items():
+        assert project2(part, sel) == part, sel
+    assert parts["psu3_8"] + parts["psu3_20"] == alpha
+    assert parts["sp_3"] + parts["sp_10"] + parts["sp_15"] == alpha
+    assert parts["psu3_10+"] + parts["psu3_10-"] == parts["psu3_20"].complexify()
+
+
+@pytest.mark.parametrize("alpha, selector, match", [
+    (e(1, 2, 3), "psu3_8", "expects a 2-form"),
+    (e(1, 2) + e(3), "sp_3", "expects a 2-form"),
+    (e(1, 2), "psu3_7", "unknown selector"),
+    (Multivector.zero(), "sp", "unknown selector"),
+])
+def test_project2_errors(alpha, selector, match):
+    with pytest.raises(ValueError, match=match):
+        project2(alpha, selector)
 
 
 def test_sp_stabilizer_is_3_plus_10():
