@@ -910,8 +910,8 @@ def _run_calib_equality():
     "ok", (12,), seeded=True,
 )
 def _run_calib_bound(seed=DEFAULT_SEED):
-    m1 = st.calibration_sample("PSU3", 10000, seed=seed)
-    m2 = st.calibration_sample("SP1SP2", 10000, seed=seed)
+    maxima = st.calibration_maxima({"PSU3": 10000, "SP1SP2": 10000}, seed=seed)
+    m1, m2 = maxima["PSU3"], maxima["SP1SP2"]
     return _verdict(m1 <= 1 + 1e-9 and m2 <= 1 + 1e-9, f"{m1} {m2}")
 
 

@@ -14,14 +14,17 @@ _TABLE as such permutations, and kappa_form adds +-c at one entry per row
 for each term c e_I.  kappa_block fills one 8x8 chirality block of
 kappa(alpha) the same way; an even blade maps each chirality to itself
 and an odd one swaps them, so a term either fills all 8 rows of the
-block or none.
+block or none.  _pair_classes() reads, from the same permutations, how two
+3-blades combine in the Gram matrix of that block (orbits.is_supersymmetric).
 Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import linalg as la
-from .exterior import Multivector, indices_of
+from .exterior import Multivector, blades_of_grade, indices_of
 from .scalars import Frozen, Scalar, half
 
 ZERO = Scalar(0)
@@ -128,6 +131,16 @@ class SpinorMap(Frozen):
         object.__setattr__(self, "target", target)
 
     @classmethod
+    def _own(cls, matrix, source, target):
+        """A map that keeps `matrix` itself, without the defensive copy:
+        for a matrix its caller has just built and shares with no one."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        return self
+
+    @classmethod
     def identity(cls, tag):
         return cls(la.identity(8), tag, tag)
 
@@ -137,7 +150,7 @@ class SpinorMap(Frozen):
             raise ValueError(
                 f"cannot compose: {other.target!r} feeds {self.source!r}"
             )
-        return SpinorMap(la.mat_mul(self.matrix, other.matrix), other.source, self.target)
+        return SpinorMap._own(la.mat_mul(self.matrix, other.matrix), other.source, self.target)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -145,23 +158,23 @@ class SpinorMap(Frozen):
     def __add__(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("tag mismatch")
-        return SpinorMap(la.mat_add(self.matrix, other.matrix), self.source, self.target)
+        return SpinorMap._own(la.mat_add(self.matrix, other.matrix), self.source, self.target)
 
     def __sub__(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("tag mismatch")
-        return SpinorMap(la.mat_sub(self.matrix, other.matrix), self.source, self.target)
+        return SpinorMap._own(la.mat_sub(self.matrix, other.matrix), self.source, self.target)
 
     def __neg__(self):
         return self * Scalar(-1)
 
     def __mul__(self, s):
-        return SpinorMap(la.mat_scale(self.matrix, s), self.source, self.target)
+        return SpinorMap._own(la.mat_scale(self.matrix, s), self.source, self.target)
 
     __rmul__ = __mul__
 
     def transpose(self):
-        return SpinorMap(la.transpose(self.matrix), self.target, self.source)
+        return SpinorMap._own(la.transpose(self.matrix), self.target, self.source)
 
     def det(self):
         return la.det(self.matrix)
@@ -254,6 +267,42 @@ def _blade(mask):
     return perm
 
 
+_PAIR_CLASSES = {}
+
+
+def _pair_classes():
+    """How pairs of 3-blades meet in the Gram matrix of the D- -> D+ block.
+
+    For a 3-form rho = sum c_I e_I let B_I be the D- -> D+ block of
+    kappa(e_I), a signed permutation, so B_I^T B_I = Id and the block
+    M = sum c_I B_I has
+        M^T M = (sum c_I^2) Id + sum_{I<J} c_I c_J Q_IJ,
+        Q_IJ = B_I^T B_J + B_J^T B_I.
+    Three facts, proved exactly in tests/test_clifford.py, make this a
+    test of M^T M = Id on pairs of terms alone:
+      1. Q_IJ != 0 exactly when e_I and e_J share one index;
+      2. then Q_IJ = +-2 S_K, where S_K depends only on the pair {K, K^c}
+         of complementary 4-sets with K = I xor J: 35 classes;
+      3. Id, S_1, ..., S_35 are linearly independent (rank 36).
+    Returns {(I << 8) | J: (K, sign)} for both orders of every pair of
+    3-blade masks sharing one index, with K the smaller mask of the pair
+    {K, K^c} and Q_IJ = 2 sign S_K.  S_K is the D- -> D- block of
+    kappa(e_K); the sign is read from row 0 of B_I and B_J (by fact 2 one
+    row fixes the whole product).  Built on first use.
+    """
+    if not _PAIR_CLASSES:
+        for m, n in combinations(blades_of_grade(3), 2):
+            shared = m & n
+            if not shared or shared & (shared - 1):
+                continue
+            a, s = _blade(m)[0]
+            k = min(m ^ n, 255 ^ m ^ n)
+            # row 0 of B_I^T B_J against row a - 8 of S_K
+            sign = s * _blade(n)[0][1] * _blade(k)[a][1]
+            _PAIR_CLASSES[m << 8 | n] = _PAIR_CLASSES[n << 8 | m] = (k, sign)
+    return _PAIR_CLASSES
+
+
 def kappa_form(alpha):
     """Extend kappa to Lambda* via kappa(e_I) = kappa(e_i1) ... kappa(e_ik)."""
     M = la.zeros(16, 16)
@@ -301,7 +350,7 @@ def form_to_map(rho):
     """The D- -> D+ block of kappa_form(rho), for a 3-form."""
     if not rho.is_homogeneous(3):
         raise ValueError("form_to_map requires a grade-3 form")
-    return SpinorMap(kappa_block(rho, "+", "-"), "-", "+")
+    return SpinorMap._own(kappa_block(rho, "+", "-"), "-", "+")
 
 
 def q_adjoint_check(alpha):

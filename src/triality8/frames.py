@@ -192,13 +192,9 @@ def intrinsic_torsion(F, kind):
     gk = gkind(kind)
     gamma = gk.gamma
     nab = nabla_form(gamma, F)
-    masks = sorted(
-        {m for b in gk.gperp_forms for m in _form_action(b, gamma).terms}
-    )
-    M = la.transpose(
-        [[_form_action(b, gamma).terms.get(m, ZERO) for m in masks]
-         for b in gk.gperp_forms]
-    )
+    images = [_form_action(b, gamma).terms for b in gk.gperp_forms]
+    masks = sorted({m for img in images for m in img})
+    M = la.transpose([[img.get(m, ZERO) for m in masks] for img in images])
     slots = []
     for w in nab:
         if set(w.terms) - set(masks):

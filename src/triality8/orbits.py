@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import linalg as la
-from .clifford import SpinorMap, form_to_map, kappa_block
+from .clifford import SpinorMap, _pair_classes, form_to_map, kappa_block
 from .exterior import Multivector, indices_of, mask_of
 from .scalars import Frozen, Scalar
 
@@ -93,12 +93,40 @@ def gamma(rho, tau, chirality):
         raise OrbitError("gamma requires grade-3 forms")
     flip = "-" if chirality == "+" else "+"
     M = la.mat_mul(kappa_block(rho, chirality, flip), kappa_block(tau, flip, chirality))
-    return SpinorMap(M, chirality, chirality)
+    return SpinorMap._own(M, chirality, chirality)
 
 
 def is_supersymmetric(rho):
-    """True iff the induced map D- -> D+ is an isometry."""
-    return form_to_map(rho).is_isometry()
+    """True iff the induced map M: D- -> D+ is an isometry, M^T M = Id,
+    decided from pairs of terms without building M.
+
+    For rho = sum c_I e_I, M^T M = (sum c_I^2) Id + sum_{I<J} c_I c_J Q_IJ,
+    where Q_IJ = +-2 S_K is nonzero only for blades sharing one index and
+    S_K depends only on the class {K, K^c}, K = I xor J, of the pair
+    (clifford._pair_classes).  Id and the 35 S_K are linearly independent,
+    so M^T M = Id exactly when sum c_I^2 = 1 and, in every class, the
+    signed sum of the c_I c_J vanishes.  Work is O(t^2) on t terms.
+    """
+    if not rho.is_homogeneous(3):
+        raise OrbitError("expected a 3-form")
+    if rho.norm2() != ONE:
+        return False
+    terms = list(rho.terms.items())
+    classes = _pair_classes()
+    sums = {}
+    for a, (m, c) in enumerate(terms):
+        m <<= 8
+        for n, d in terms[a + 1:]:
+            hit = classes.get(m | n)
+            if hit is not None:
+                k, sign = hit
+                p = c * d
+                acc = sums.get(k)
+                if acc is None:
+                    sums[k] = p if sign > 0 else -p
+                else:
+                    sums[k] = acc + p if sign > 0 else acc - p
+    return not any(sums.values())
 
 
 class BracketTable(Frozen):
@@ -295,12 +323,9 @@ def _l2_params(b):
 
 
 def orbit_classify(rho):
-    if not rho.is_homogeneous(3):
-        raise OrbitError("expected a 3-form")
-    induced = form_to_map(rho)
-    if not induced.is_isometry():
+    if not is_supersymmetric(rho):  # raises OrbitError unless a 3-form
         return OrbitClass("NotSupersymmetric")
-    orientation = "preserving" if induced.det() == ONE else "reversing"
+    orientation = "preserving" if form_to_map(rho).det() == ONE else "reversing"
     b = bracket_from_form(rho)
     center_dim, _, _ = lie_classify(b)
     if center_dim == 0:

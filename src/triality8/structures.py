@@ -9,6 +9,7 @@ from __future__ import annotations
 import random as _random
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from . import linalg as la
 from .clifford import SpinorMap
@@ -505,24 +506,43 @@ def calibration(kind, plane):
 
 def calibration_sample(kind, count, seed=20260826):
     """Max of the calibration form over random float planes."""
-    tau, k = calibration_form(kind)
-    det = _det3 if k == 3 else _det4
-    terms = [(tuple(i - 1 for i in indices_of(m)), c.to_float()) for m, c in tau.terms.items()]
+    return calibration_maxima({kind: count}, seed)[kind]
+
+
+def calibration_maxima(counts, seed=20260826):
+    """{kind: calibration_sample(kind, n, seed)} for each kind -> n of
+    `counts`, from one Gaussian stream of 8-vectors drawn once.
+
+    Sample s of a kind with k vectors reads stream vectors k*s ... k*s+k-1,
+    orthonormalized in order, exactly as a lone call draws them, so each
+    maximum is bitwise that of calibration_sample.
+    """
+    plan = []
+    for kind, count in counts.items():
+        tau, k = calibration_form(kind)
+        terms = [(tuple(i - 1 for i in indices_of(m)), c.to_float())
+                 for m, c in tau.terms.items()]
+        plan.append((kind, k, k * count, _det3m if k == 3 else _det4m, terms))
     rng = _random.Random(seed)
-    best = float("-inf")
-    for _ in range(count):
-        vecs = []
-        for _r in range(k):
-            v = [rng.gauss(0.0, 1.0) for _ in range(8)]
-            for w in vecs:
-                d = sum(a * b for a, b in zip(v, w))
-                v = [a - d * b for a, b in zip(v, w)]
-            n = sum(a * a for a in v) ** 0.5
-            vecs.append([a / n for a in v])
-        val = 0.0
-        for ix, c in terms:
-            val += c * det(*vecs, *ix)
-        best = max(best, abs(val))
+    window = []  # the last 4 stream vectors
+    best = {kind: float("-inf") for kind in counts}
+    for pos in range(max((p[2] for p in plan), default=0)):
+        window = window[-3:] + [[rng.gauss(0.0, 1.0) for _ in range(8)]]
+        for kind, k, end, det, terms in plan:
+            if pos % k != k - 1 or pos >= end:
+                continue
+            vecs = []
+            for v in window[-k:]:
+                for w in vecs:
+                    d = sum(map(mul, v, w))
+                    v = [a - d * b for a, b in zip(v, w)]
+                n = sum(map(mul, v, v)) ** 0.5
+                vecs.append([a / n for a in v])
+            m = _minors(*vecs[-2:])  # shared by all terms
+            val = 0.0
+            for ix, c in terms:
+                val += c * det(*vecs[:-2], m, *ix)
+            best[kind] = max(best[kind], abs(val))
     return best
 
 
@@ -530,22 +550,35 @@ def calibration_sample(kind, count, seed=20260826):
 # vectors u, v, ... restricted to the columns i, j, ...  They do the float
 # operations, in the order, of a cofactor expansion along the first row
 # (the recursive oracle in tests/test_structures.py), so the sampled
-# maxima do not change.
+# maxima do not change.  _det3m and _det4m do the same operations on the
+# minors m[8a + b] = v[a] w[b] - v[b] w[a] (a < b) of the last two rows.
+
+
+def _minors(v, w):
+    m = [0.0] * 64
+    for a in range(8):
+        for b in range(a + 1, 8):
+            m[8 * a + b] = v[a] * w[b] - v[b] * w[a]
+    return m
+
+
+def _det3m(u, m, i, j, k):
+    return u[i] * m[8 * j + k] - u[j] * m[8 * i + k] + u[k] * m[8 * i + j]
+
+
+def _det4m(u, v, m, i, j, k, l):
+    return (
+        0.0
+        + u[i] * _det3m(v, m, j, k, l)
+        - u[j] * _det3m(v, m, i, k, l)
+        + u[k] * _det3m(v, m, i, j, l)
+        - u[l] * _det3m(v, m, i, j, k)
+    )
 
 
 def _det3(u, v, w, i, j, k):
-    return (
-        u[i] * (v[j] * w[k] - v[k] * w[j])
-        - u[j] * (v[i] * w[k] - v[k] * w[i])
-        + u[k] * (v[i] * w[j] - v[j] * w[i])
-    )
+    return _det3m(u, _minors(v, w), i, j, k)
 
 
 def _det4(u, v, w, x, i, j, k, l):
-    return (
-        0.0
-        + u[i] * _det3(v, w, x, j, k, l)
-        - u[j] * _det3(v, w, x, i, k, l)
-        + u[k] * _det3(v, w, x, i, j, l)
-        - u[l] * _det3(v, w, x, i, j, k)
-    )
+    return _det4m(u, v, _minors(w, x), i, j, k, l)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from triality8.claims import (
 )
 from triality8.clifford import (
     _oct_mul_raw,
+    _pair_classes,
     Spinor,
     SpinorMap,
     block,
@@ -110,6 +112,57 @@ def test_is_isometry_matches_dense_gram(rho):
         R[i][j] = R[i][j] + Scalar(1) / 7
         A = SpinorMap(R, "v", "+")
         assert not A.is_isometry() and not _isometry_dense(A)
+
+
+def _is_signed_permutation(A):
+    nonzero = [(r, c, x) for r, row in enumerate(A) for c, x in enumerate(row) if x]
+    return (
+        len(nonzero) == 8
+        and sorted(r for r, _, _ in nonzero) == list(range(8))
+        and sorted(c for _, c, _ in nonzero) == list(range(8))
+        and all(x in (ONE, -ONE) for _, _, x in nonzero)
+    )
+
+
+def test_pair_classes_facts():
+    """The three facts behind orbits.is_supersymmetric, from dense products:
+    Q_IJ = B_I^T B_J + B_J^T B_I is nonzero exactly for 3-blades sharing
+    one index; then Q_IJ = 2 sign S_K with one signed permutation S_K per
+    pair {K, K^c}, K = I xor J (35 classes; S_K is the D- -> D- block of
+    kappa(e_K)); and Id, S_1, ..., S_35 have rank 36."""
+    threes = blades_of_grade(3)
+    B = {m: block(kappa_form(Multivector({m: ONE})), "+", "-") for m in threes}
+    table = _pair_classes()
+    S = {}
+    pairs = 0
+    for m, n in combinations(threes, 2):
+        pairs += 1
+        Q = la.mat_add(la.mat_mul(la.transpose(B[m]), B[n]),
+                       la.mat_mul(la.transpose(B[n]), B[m]))
+        shares_one = bin(m & n).count("1") == 1
+        assert la.is_zero_matrix(Q) != shares_one
+        assert (m << 8 | n in table) == shares_one == (n << 8 | m in table)
+        if not shares_one:
+            continue
+        k, sign = table[m << 8 | n]
+        assert table[n << 8 | m] == (k, sign)
+        assert k in (m ^ n, 255 ^ m ^ n) and k < 255 ^ k
+        half_q = la.mat_scale(Q, Scalar(sign) / 2)
+        assert la.mat_eq(half_q, S.setdefault(k, half_q))
+    assert pairs == 1540 and len(table) == 2 * 840
+    assert len(S) == 35
+    for k, Sk in S.items():
+        assert _is_signed_permutation(Sk)
+        assert la.mat_eq(Sk, block(kappa_form(Multivector({k: ONE})), "-", "-"))
+    flat = [[x for row in A for x in row] for A in [la.identity(8), *S.values()]]
+    assert la.rank(flat) == 36
+
+
+def test_spinor_map_constructor_copies_its_matrix():
+    A = la.identity(8)
+    S = SpinorMap(A, "+", "+")
+    A[0][0] = Scalar(5)
+    assert S.matrix[0][0] == ONE and S.matrix is not A
 
 
 def test_kappa_is_linear_on_vectors():

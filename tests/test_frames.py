@@ -61,6 +61,18 @@ def test_nilmanifold_torsion(nil, rho):
     assert to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords)
 
 
+def test_intrinsic_torsion_computes_each_image_once(nil, monkeypatch):
+    calls = []
+
+    def counted(b, gamma):
+        calls.append(b)
+        return to._form_action(b, gamma)
+
+    monkeypatch.setattr(fr, "_form_action", counted)
+    fr.intrinsic_torsion(nil, "PSU3")
+    assert len(calls) == len(to.gkind("PSU3").gperp_forms) == 20
+
+
 def test_ricci_constraint_rank():
     cols = []
     for i in range(1, 9):

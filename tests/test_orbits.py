@@ -2,10 +2,11 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from triality8 import linalg as la
 from triality8.claims import _pythagorean_rotation, _random_unit_3form
-from triality8.clifford import block, kappa_form
+from triality8.clifford import block, form_to_map, kappa_form
 from triality8.exterior import Multivector, apply_linear, blades_of_grade, mask_of
 from triality8.orbits import (
     _TRIPLES,
@@ -21,6 +22,7 @@ from triality8.orbits import (
     orbit_classify,
 )
 from triality8.scalars import I, ONE, SQRT3, ZERO, Scalar, half
+from triality8.structures import canonical_rho
 
 e = Multivector.blade
 
@@ -116,6 +118,84 @@ def test_gamma_transpose_law():
             assert la.mat_eq(
                 la.transpose(gamma(r, t, ch).matrix), gamma(t, r, ch).matrix
             )
+
+
+def _isometry_dense(rho):
+    """M^T M = Id through the full product of the dense block M of rho:
+    the oracle for is_supersymmetric."""
+    M = form_to_map(rho).matrix
+    return la.mat_eq(la.mat_mul(la.transpose(M), M), la.identity(8))
+
+
+def _givens(i, j, c, s):
+    G = la.identity(8)
+    G[i][i], G[j][j], G[i][j], G[j][i] = c, c, -s, s
+    return G
+
+
+_THREES = blades_of_grade(3)
+# coefficient patterns of unit norm on distinct (orthonormal) blades, and
+# complex pairs with a^2 + b^2 = 1 in the bilinear form
+_UNIT_PATTERNS = (
+    (ONE,), (Scalar(3) / 5, Scalar(4) / 5), (SQRT3 * half(), half()),
+    (half(),) * 4, (Scalar(2) / 3, Scalar(2) / 3, ONE / 3),
+)
+_COMPLEX_PATTERNS = ((Scalar(2), I * SQRT3), (Scalar(5) / 4, I * 3 / 4),
+                     (Scalar(5) / 4, I * 3 / 8, I * 3 / 8, I * 3 / 8, I * 3 / 8))
+# (cos, sin) with cos^2 + sin^2 = 1: Pythagorean angles, then complex ones
+_ANGLES = ((Scalar(3) / 5, Scalar(4) / 5), (Scalar(5) / 13, Scalar(-12) / 13),
+           (Scalar(20) / 29, Scalar(21) / 29), (Scalar(5) / 4, I * 3 / 4),
+           (Scalar(2), I * SQRT3))
+_MODELS = (canonical_rho(), e(1, 2, 3), e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 6) * half(),
+           (e(1, 2, 3) + e(1, 4, 5) + e(1, 6, 7) + e(2, 4, 6)) * half())
+
+
+@hs.composite
+def three_forms(draw):
+    """Unit, sparse integer, non-unit, rotated (real and complex
+    rotations) and complex 3-forms."""
+    kind = draw(hs.sampled_from(("unit", "sparse", "nonunit", "rotated", "complex")))
+    if kind == "sparse":
+        terms = draw(hs.dictionaries(hs.sampled_from(_THREES),
+                                     hs.integers(-3, 3).map(Scalar), max_size=6))
+        return Multivector(terms)
+    if kind == "rotated":
+        M = la.identity(8)
+        for _ in range(draw(hs.integers(1, 3))):
+            i, j = draw(hs.lists(hs.integers(0, 7), min_size=2, max_size=2, unique=True))
+            M = la.mat_mul(M, _givens(i, j, *draw(hs.sampled_from(_ANGLES))))
+        return apply_linear(M, draw(hs.sampled_from(_MODELS)))
+    pattern = draw(hs.sampled_from(_COMPLEX_PATTERNS if kind == "complex" else _UNIT_PATTERNS))
+    masks = draw(hs.lists(hs.sampled_from(_THREES), min_size=len(pattern),
+                          max_size=len(pattern), unique=True))
+    f = Multivector(dict(zip(masks, pattern)))
+    if kind == "nonunit":
+        f = f * draw(hs.sampled_from((Scalar(2), half(), SQRT3, I)))
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_forms())
+def test_is_supersymmetric_matches_dense_oracle(f):
+    assert is_supersymmetric(f) == _isometry_dense(f)
+
+
+def test_is_supersymmetric_sweep_matches_dense_oracle():
+    """Both verdicts, on real and complex forms, against the dense oracle."""
+    rng = random.Random(31)
+    forms = [_random_unit_3form(rng) for _ in range(150)]
+    forms += [rand3(rng, rng.randint(1, 6)) for _ in range(40)]
+    forms += [f * 2 for f in forms[:10]]
+    forms += [apply_linear(_pythagorean_rotation(rng), m) for m in _MODELS for _ in range(2)]
+    complex_ = [apply_linear(_givens(0, 5, Scalar(5) / 4, I * 3 / 4), m) for m in _MODELS]
+    complex_ += [Multivector(dict(zip(rng.sample(_THREES, len(p)), p)))
+                 for p in _COMPLEX_PATTERNS for _ in range(8)]
+    verdicts = [_isometry_dense(f) for f in forms + complex_]
+    assert [is_supersymmetric(f) for f in forms + complex_] == verdicts
+    assert True in verdicts[:len(forms)] and False in verdicts[:len(forms)]
+    assert True in verdicts[len(forms):] and False in verdicts[len(forms):]
+    with pytest.raises(OrbitError, match="expected a 3-form"):
+        is_supersymmetric(e(1, 2))
 
 
 def test_supersymmetric_requires_unit_norm(rho):

@@ -15,6 +15,7 @@ from triality8.structures import (
     calibration_form,
     c_operator,
     calibration,
+    calibration_maxima,
     calibration_sample,
     kaehler_forms,
     l2_form,
@@ -264,3 +265,16 @@ def test_calibration_sample_matches_recursive_minors():
         for seed in (1, 20260826, 987654321):
             assert calibration_sample(kind, 200, seed=seed) == \
                 _calibration_sample_oracle(kind, 200, seed)
+
+
+def test_calibration_maxima_matches_per_kind_oracle():
+    """One shared Gaussian stream gives each kind the maxima of its own
+    stream, whichever kind ends first."""
+    for counts in ({"PSU3": 60, "SP1SP2": 60},   # PSU3 ends first
+                   {"PSU3": 90, "SP1SP2": 40},   # SP1SP2 ends first
+                   {"SP1SP2": 7, "PSU3": 0}):
+        for seed in (1, 987654321):
+            assert calibration_maxima(counts, seed=seed) == {
+                kind: _calibration_sample_oracle(kind, n, seed)
+                for kind, n in counts.items()
+            }
