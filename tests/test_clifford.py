@@ -4,13 +4,9 @@ from itertools import combinations
 import pytest
 
 from triality8 import linalg as la
-from triality8.claims import (
-    _KAPPA_TABLE,
-    _RHOMAP_TIMES_4,
-    _pythagorean_rotation,
-    _random_unit_3form,
-    _scal,
-)
+from triality8.claims.clifford_model import _KAPPA_TABLE
+from triality8.claims.orbit import _pythagorean_rotation, _random_unit_3form
+from triality8.claims.rho_map import _RHOMAP_TIMES_4, _scal
 from triality8.clifford import (
     _oct_mul_raw,
     _pair_classes,

@@ -16,11 +16,16 @@ import contextlib, io, json, os, sys
 ran = []
 
 def _hook(event, args):
-    # the import system runs the code of a module through exec()
+    # the import system runs the code of a module through exec(); the claim
+    # index (claims/__init__.py) is recorded as claims, an area module of it
+    # as claims.<area>
     if event == "exec" and getattr(args[0], "co_name", "") == "<module>":
-        path = args[0].co_filename
-        if os.path.basename(os.path.dirname(path)) == "triality8":
-            ran.append(os.path.splitext(os.path.basename(path))[0])
+        head, name = os.path.split(os.path.splitext(args[0].co_filename)[0])
+        head, package = os.path.split(head)
+        if package == "triality8":
+            ran.append(name)
+        elif package == "claims" and os.path.basename(head) == "triality8":
+            ran.append("claims" if name == "__init__" else "claims." + name)
 
 sys.addaudithook(_hook)
 out = None
@@ -56,11 +61,17 @@ def test_imports_run_no_other_submodule():
     assert _fresh("import triality8.claims")[0] == {"__init__", "claims", "scalars"}
 
 
+def _areas(ran):
+    return {m for m in ran if m.startswith("claims.")}
+
+
 def test_obstruct_claims_run_only_what_they_use():
     ran, code = _cli("verify", "obstruct.identities", "--format", "json")
     assert code == 0
     assert "obstructions" in ran
     assert not ran & {"clifford", "linalg", "orbits", "structures", "torsion", "frames"}
+    # the index and the one area module of the claim
+    assert "claims" in ran and _areas(ran) == {"claims.obstruct"}
 
 
 def test_stabilizer_claim_runs_no_torsion_module():
@@ -68,6 +79,19 @@ def test_stabilizer_claim_runs_no_torsion_module():
     assert code == 0
     assert "structures" in ran
     assert not ran & {"torsion", "frames", "obstructions"}
+    assert "claims" in ran and _areas(ran) == {"claims.stab"}
+
+
+def test_list_claims_runs_no_area_module():
+    ran, code = _cli("list-claims")
+    assert code == 0
+    assert ran == {"__init__", "cli", "claims", "scalars"}
+
+
+def test_claims_of_one_area_run_one_area_module():
+    ran, code = _cli("verify", "sigma.*", "--format", "json")
+    assert code == 0
+    assert _areas(ran) == {"claims.sigma"}
 
 
 def test_obstruct_command_does_not_run_claims():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from triality8 import linalg as la
-from triality8.claims import _pythagorean_rotation, _random_unit_3form
+from triality8.claims.orbit import _pythagorean_rotation, _random_unit_3form
 from triality8.clifford import block, form_to_map, kappa_form
 from triality8.exterior import Multivector, apply_linear, blades_of_grade, mask_of
 from triality8.orbits import (
