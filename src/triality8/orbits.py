@@ -214,18 +214,6 @@ def bracket_from_form(rho):
     return BracketTable({indices_of(m): v for m, v in rho.terms.items()})
 
 
-def form_from_bracket(b):
-    """Unit-norm 3-form with rho(x,y,z) = g([x,y],z), up to scale."""
-    if b.is_zero():
-        raise OrbitError("cannot normalize the zero bracket")
-    rho = Multivector({mask_of(key): v for key, v in b.c.items()})
-    n2 = rho.norm2()
-    n = n2.sqrt() if isinstance(n2, Scalar) else None
-    if n is None:
-        raise OrbitError("norm falls outside the scalar field")
-    return rho * n.inverse()
-
-
 def lie_classify(b):
     """(center_dim, derived_dim, reductive) for a Lie bracket table."""
     if not b.jacobi_holds():

@@ -148,10 +148,6 @@ class Scalar(Frozen):
             return NotImplemented
         return o * self.inverse()
 
-    def conj_sqrt3(self):
-        """Galois conjugate a + b*r3 -> a - b*r3."""
-        return _new(self.p, -self.q, self.d)
-
     # -- predicates / conversions -----------------------------------------
 
     def is_zero(self):

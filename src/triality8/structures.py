@@ -22,7 +22,7 @@ from .exterior import (
     mask_of,
     to_vector,
 )
-from .orbits import bracket_from_form, coeff3
+from .orbits import coeff3
 from .scalars import Frozen, I, SQRT3, Scalar, complexify, half, quarter
 
 ZERO = Scalar(0)
@@ -180,18 +180,6 @@ def p3(alpha):
     return from_vector(u, blades_of_grade(3))
 
 
-@lru_cache(maxsize=None)
-def lambda4_split():
-    """(ker of the differential on Lambda^4, image of the adjoint from
-    Lambda^5); the natural invariant splitting of Lambda^4, dims (35, 35)."""
-    masks = blades_of_grade(4)
-    out = Subspace("L4", la.nullspace(c_operator(4)))
-    adj = c_adjoint(4)
-    cols = [[adj[r][c] for r in range(len(masks))] for c in range(len(blades_of_grade(5)))]
-    inn = Subspace("L4", cols)
-    return out, inn
-
-
 # 15 linear equations cutting out the stabilizer of the quaternionic
 # 4-form inside Lambda^2; entries are signed index pairs of a_{ij}.
 SP_STABILIZER_EQUATIONS = (
@@ -239,37 +227,59 @@ def _c2_then_adjoint(alpha):
 PROJECTIONS = ("psu3_8", "psu3_20", "psu3_10+", "psu3_10-", "sp_3", "sp_10", "sp_15")
 
 
-def _project2_formula(alpha, selector):
-    """The invariant projections of a 2-form by their defining formulas;
-    they build the columns of ``projection_columns``."""
-    if selector == "psu3_20":
-        return _c2_then_adjoint(alpha) * (Scalar(4) / 3)
-    if selector == "psu3_8":
-        return alpha - _project2_formula(alpha, "psu3_20")
-    if selector in ("psu3_10+", "psu3_10-"):
-        # halves of the 20-part picked out by the eigen-identity
-        # beta * rho = -+ sqrt(3) i star(rho ^ beta)
-        rho = canonical_rho().complexify()
-        a = _c2_then_adjoint(alpha) * (Scalar(2) / 3)
-        b = (c_apply(alpha).complexify() ^ rho).star() * (SQRT3 * 2 / Scalar(3)) * I
-        return a.complexify() + (-b if selector.endswith("+") else b)
+@lru_cache(maxsize=None)
+def _psu3_split():
+    """(2/3) sqrt(3) i star(c(alpha) ^ rho) for each basis 2-form alpha: the
+    term whose sign picks out the complex halves of the 20-part, by the
+    eigen-identity beta * rho = -+ sqrt(3) i star(rho ^ beta)."""
+    rho = canonical_rho().complexify()
+    return tuple(
+        (c_apply(Multivector({m: ONE})).complexify() ^ rho).star()
+        * (SQRT3 * 2 / Scalar(3)) * I
+        for m in L2_MASKS
+    )
+
+
+@lru_cache(maxsize=None)
+def _omega_contractions():
+    """(alpha -| Omega, alpha -| Omega -| Omega) for each basis 2-form alpha,
+    shared by the three sp projections."""
     om = canonical_omega()
-    a1 = alpha.contract(om)
-    a2 = a1.contract(om)
-    if selector == "sp_3":
-        return (alpha * Scalar(-3) + a1 * 2 + a2) * (ONE / 32)
-    if selector == "sp_10":
-        return (alpha * 5 - a1 * 6 + a2) * (ONE / 32)
-    return (alpha * 15 + a1 * 2 - a2) * (ONE / 16)
+    out = []
+    for m in L2_MASKS:
+        a1 = Multivector({m: ONE}).contract(om)
+        out.append((a1, a1.contract(om)))
+    return tuple(out)
+
+
+# sp projection = (c0 alpha + c1 alpha -| Omega + c2 alpha -| Omega -| Omega) / d
+_SP_WEIGHTS = {"sp_3": (-3, 2, 1, 32), "sp_10": (5, -6, 1, 32), "sp_15": (15, 2, -1, 16)}
 
 
 @lru_cache(maxsize=None)
 def projection_columns(selector):
     """The images of the 28 basis 2-forms (in L2_MASKS order) under one
-    projection, built once by the defining formulas."""
+    projection, built once: the 20-part as 4/3 c_2^* c_2, the 8-part and
+    the complex halves of the 20-part from its columns, and the sp parts
+    from shared contractions with Omega."""
     if selector not in PROJECTIONS:
         raise ValueError(f"unknown selector {selector!r}")
-    return tuple(_project2_formula(Multivector({m: ONE}), selector) for m in L2_MASKS)
+    basis = [Multivector({m: ONE}) for m in L2_MASKS]
+    if selector == "psu3_20":
+        return tuple(_c2_then_adjoint(a) * (Scalar(4) / 3) for a in basis)
+    if selector == "psu3_8":
+        return tuple(a - p for a, p in zip(basis, projection_columns("psu3_20")))
+    if selector.startswith("psu3_10"):
+        plus = selector.endswith("+")
+        return tuple(
+            (p * half()).complexify() + (-b if plus else b)
+            for p, b in zip(projection_columns("psu3_20"), _psu3_split())
+        )
+    c0, c1, c2, d = _SP_WEIGHTS[selector]
+    return tuple(
+        (a * c0 + a1 * c1 + a2 * c2) * (ONE / d)
+        for a, (a1, a2) in zip(basis, _omega_contractions())
+    )
 
 
 _L2_POSITION = {m: n for n, m in enumerate(L2_MASKS)}
@@ -429,52 +439,6 @@ def roots(kind):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def su2_triple_check():
-    """The bracket relations [T,E_i] = lambda_i(T) F_i etc. for the
-    distinguished su(2)-triples of the canonical bracket."""
-    rd = roots("PSU3")
-    b = bracket_from_form(canonical_rho())
-    t_basis = (Multivector.blade(3), Multivector.blade(8))
-    results = []
-    for Ei, Fi, lam in zip(rd.extras["E"], rd.extras["F"], rd.extras["lambda"]):
-        ok = True
-        for T in t_basis:
-            lT = lam.inner(T)
-            tE = _bracket_mv(b, T, Ei)
-            tF = _bracket_mv(b, T, Fi)
-            ok = ok and tE == Fi * lT and tF == -(Ei * lT)
-        ok = ok and _bracket_mv(b, Ei, Fi) == lam
-        results.append(ok)
-    return results
-
-
-def _bracket_mv(b, x, y):
-    xv = [x.coeff(i) for i in range(1, 9)]
-    yv = [y.coeff(i) for i in range(1, 9)]
-    out = b.bracket(xv, yv)
-    return Multivector({1 << i: v for i, v in enumerate(out)})
-
-
-def weight_eigen_check(kind):
-    """Each weight vector is an exact eigenvector of every torus generator
-    under the so(8)-action; returns {name: {torus_name: eigenvalue}}, with
-    None where a weight vector is not an eigenvector."""
-    rd = roots(kind)
-    report = {}
-    for name, w in rd.weight_vectors.items():
-        evs = {}
-        for tname, t in rd.torus.items():
-            img = t.act2(w)
-            pairs = [(img.terms.get(m, ZERO), w.terms.get(m, ZERO))
-                     for m in img.terms.keys() | w.terms.keys()]
-            try:
-                evs[tname] = la.common_ratio(pairs)
-            except la.RatioError:
-                evs[tname] = None
-        report[name] = evs
-    return report
-
-
 # -- calibrations ----------------------------------------------------------
 
 
@@ -509,26 +473,49 @@ def calibration_sample(kind, count, seed=20260826):
     return calibration_maxima({kind: count}, seed)[kind]
 
 
+# the 2- and 3-subsets of the 8 columns, in the order of the minor lists,
+# and the positions of the 2x2 cofactors (jk, ik, ij) of each (i, j, k)
+_PAIRS = tuple(combinations(range(8), 2))
+_TRIPLES = tuple(combinations(range(8), 3))
+_AT = {s: n for subsets in (_PAIRS, _TRIPLES) for n, s in enumerate(subsets)}
+
+
+def _cofactors(ix):
+    """Positions of the minors on ix minus one column, for each column."""
+    return tuple(_AT[ix[:a] + ix[a + 1:]] for a in range(len(ix)))
+
+
+_TRIPLE_COFACTORS = tuple((t, _cofactors(t)) for t in _TRIPLES)
+
+
 def calibration_maxima(counts, seed=20260826):
     """{kind: calibration_sample(kind, n, seed)} for each kind -> n of
     `counts`, from one Gaussian stream of 8-vectors drawn once.
 
     Sample s of a kind with k vectors reads stream vectors k*s ... k*s+k-1,
     orthonormalized in order, exactly as a lone call draws them, so each
-    maximum is bitwise that of calibration_sample.
+    maximum is bitwise that of calibration_sample.  A term c e_I of the
+    form is valued by the cofactor expansion of the minor on the columns I
+    along its first row, with the float operations, in the order, of the
+    recursive expansion (the oracle in tests/test_structures.py).  The 28
+    2x2 minors of the last two vectors, and for k = 4 the 56 3x3 minors of
+    the last three, are built once per sample: each 3-subset is a cofactor
+    of exactly one of the 14 terms of Omega/6.
     """
     plan = []
     for kind, count in counts.items():
         tau, k = calibration_form(kind)
-        terms = [(tuple(i - 1 for i in indices_of(m)), c.to_float())
-                 for m, c in tau.terms.items()]
-        plan.append((kind, k, k * count, _det3m if k == 3 else _det4m, terms))
+        terms = []
+        for m, c in tau.terms.items():
+            ix = tuple(i - 1 for i in indices_of(m))
+            terms.append((c.to_float(), ix, _cofactors(ix)))
+        plan.append((kind, k, k * count, terms))
     rng = _random.Random(seed)
     window = []  # the last 4 stream vectors
     best = {kind: float("-inf") for kind in counts}
     for pos in range(max((p[2] for p in plan), default=0)):
         window = window[-3:] + [[rng.gauss(0.0, 1.0) for _ in range(8)]]
-        for kind, k, end, det, terms in plan:
+        for kind, k, end, terms in plan:
             if pos % k != k - 1 or pos >= end:
                 continue
             vecs = []
@@ -538,47 +525,19 @@ def calibration_maxima(counts, seed=20260826):
                     v = [a - d * b for a, b in zip(v, w)]
                 n = sum(map(mul, v, v)) ** 0.5
                 vecs.append([a / n for a in v])
-            m = _minors(*vecs[-2:])  # shared by all terms
+            v, w = vecs[-2:]
+            m = [v[a] * w[b] - v[b] * w[a] for a, b in _PAIRS]
+            u = vecs[0]
             val = 0.0
-            for ix, c in terms:
-                val += c * det(*vecs[:-2], m, *ix)
+            if k == 3:
+                for c, (i, j, l), (a, b, d) in terms:
+                    val += c * (u[i] * m[a] - u[j] * m[b] + u[l] * m[d])
+            else:
+                v = vecs[1]
+                m = [v[i] * m[a] - v[j] * m[b] + v[l] * m[d]
+                     for (i, j, l), (a, b, d) in _TRIPLE_COFACTORS]
+                for c, (i, j, l, r), (a, b, d, f) in terms:
+                    val += c * (0.0 + u[i] * m[a] - u[j] * m[b] + u[l] * m[d]
+                                - u[r] * m[f])
             best[kind] = max(best[kind], abs(val))
     return best
-
-
-# _det3 and _det4 give the determinant of the matrix whose rows are the
-# vectors u, v, ... restricted to the columns i, j, ...  They do the float
-# operations, in the order, of a cofactor expansion along the first row
-# (the recursive oracle in tests/test_structures.py), so the sampled
-# maxima do not change.  _det3m and _det4m do the same operations on the
-# minors m[8a + b] = v[a] w[b] - v[b] w[a] (a < b) of the last two rows.
-
-
-def _minors(v, w):
-    m = [0.0] * 64
-    for a in range(8):
-        for b in range(a + 1, 8):
-            m[8 * a + b] = v[a] * w[b] - v[b] * w[a]
-    return m
-
-
-def _det3m(u, m, i, j, k):
-    return u[i] * m[8 * j + k] - u[j] * m[8 * i + k] + u[k] * m[8 * i + j]
-
-
-def _det4m(u, v, m, i, j, k, l):
-    return (
-        0.0
-        + u[i] * _det3m(v, m, j, k, l)
-        - u[j] * _det3m(v, m, i, k, l)
-        + u[k] * _det3m(v, m, i, j, l)
-        - u[l] * _det3m(v, m, i, j, k)
-    )
-
-
-def _det3(u, v, w, i, j, k):
-    return _det3m(u, _minors(v, w), i, j, k)
-
-
-def _det4(u, v, w, x, i, j, k, l):
-    return _det4m(u, v, _minors(w, x), i, j, k, l)

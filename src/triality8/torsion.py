@@ -113,10 +113,6 @@ class TorsionTensor(Frozen):
         object.__setattr__(self, "slots", ss)
 
     @classmethod
-    def zero(cls, kind):
-        return cls(kind, [Multivector.zero()] * 8)
-
-    @classmethod
     def simple(cls, kind, x, a):
         """x (x) a for a grade-1 x and a 2-form a."""
         if not x.is_homogeneous(1):
@@ -160,33 +156,11 @@ class TorsionTensor(Frozen):
             self.kind, [_project_slot(self.kind, a) for a in self.slots]
         )
 
-    def coords(self):
-        """Coordinates in the 8 x 28 blade basis of Lambda^1 (x) Lambda^2."""
-        out = []
-        for a in self.slots:
-            out.extend(a.terms.get(m, ZERO) for m in L2_MASKS)
-        return out
-
     def __repr__(self):
         parts = [
             f"e{i + 1} (x) ({a})" for i, a in enumerate(self.slots) if a
         ]
         return "TorsionTensor(" + (" + ".join(parts) or "0") + ")"
-
-
-def torsion_act(g, T):
-    """so(8)-action of a 2-form g on the torsion module (derivation on
-    both tensor slots)."""
-    slots = [Multivector.zero() for _ in range(8)]
-    for i, a in enumerate(T.slots):
-        if a:
-            gX = g.act2(Multivector.blade(i + 1))
-            for j in range(1, 9):
-                c = gX.coeff(j)
-                if c:
-                    slots[j - 1] = slots[j - 1] + a * c
-            slots[i] = slots[i] + g.act2(a)
-    return TorsionTensor(T.kind, slots)
 
 
 # -- the form-side operators -----------------------------------------------
@@ -296,11 +270,10 @@ def _l3_images(kind, chirality, target):
     return tuple(out)
 
 
-def _pair_to_l3(M, images):
+def _pair_to_l3(rows, images):
     """Projection D- (x) D+ -> Lambda^3: sum_I q(Psi_-, e_I . Psi_+) e_I
-    applied slotwise to M and sigma, given the images of sigma from
-    _l3_images."""
-    rows = M.matrix
+    applied slotwise to the rows of a map and to sigma, given the images
+    of sigma from _l3_images."""
     out = {}
     for mask, entries in images:
         s = None
@@ -316,7 +289,7 @@ def _pair_to_l3(M, images):
 
 def _l_raw(tau):
     D = Dhat(_embed3(tau, "SP1SP2"), "+")
-    return _pair_to_l3(D, _l3_images("SP1SP2", "+", D.target))
+    return _pair_to_l3(D.matrix, _l3_images("SP1SP2", "+", D.target))
 
 
 @lru_cache(maxsize=None)
@@ -347,13 +320,28 @@ def L_op(tau):
     return _l_raw(tau) * _l_scale()
 
 
+def _l_columns():
+    """L_op(e_ijk) for each 3-blade, by linearity: Dhat of e_i (x) e_jk -
+    e_j (x) e_ik + e_k (x) e_ij from one act2_svf per basis 2-form."""
+    sigma = sigma_canonical("SP1SP2", "+")
+    src, dst = sigma.target, "-" if sigma.target == "+" else "+"
+    svf = {m: act2_svf(_project_slot("SP1SP2", Multivector({m: ONE})), sigma).matrix
+           for m in L2_MASKS}
+    cols = []
+    for mask in _L3_MASKS:
+        i, j, k = indices_of(mask)
+        D = la.mat_sub(_times_e(i, svf[mask_of((j, k))], dst, src),
+                       _times_e(j, svf[mask_of((i, k))], dst, src))
+        D = la.mat_add(D, _times_e(k, svf[mask_of((i, j))], dst, src))
+        L = _pair_to_l3(D, _l3_images("SP1SP2", "+", dst)) * _l_scale()
+        cols.append(to_vector(L, _L3_MASKS))
+    return cols
+
+
 @lru_cache(maxsize=None)
 def l_spectrum():
     """Exact eigenvalue -> multiplicity table of L on Lambda^3."""
-    cols = [
-        to_vector(L_op(Multivector({m: ONE})), _L3_MASKS) for m in _L3_MASKS
-    ]
-    M = la.transpose(cols)
+    M = la.transpose(_l_columns())
     out = {}
     total = 0
     for lam in (2, 12, 20):
@@ -369,23 +357,34 @@ def l_spectrum():
 # -- exact kernel analysis -------------------------------------------------
 
 
+def _times_e(i, S, target, source):
+    """kappa_block(e_i, target, source) S for an 8x8 matrix S: the block is
+    a signed permutation, so its rows are rows of S, signed."""
+    return [next(S[c] if x == ONE else [-y for y in S[c]] for c, x in enumerate(row) if x)
+            for row in kappa_block(Multivector.blade(i), target, source)]
+
+
+@lru_cache(maxsize=None)
 def _operator_columns(kind):
+    """The columns of dhat, dstar_hat and Dhat (per chirality) on the basis
+    tensors e_i (x) b, i = 1..8 and b over g-perp, by linearity: one form
+    action and one act2_svf per b, then e_i by wedge, contraction and
+    Clifford multiplication."""
     gk = gkind(kind)
-    basis = [
-        TorsionTensor.simple(kind, Multivector.blade(i), b)
-        for i in range(1, 9)
-        for b in gk.gperp_forms
-    ]
-    up = blades_of_grade(gk.degree + 1)
-    down = blades_of_grade(gk.degree - 1)
-    cols_d, cols_ds, cols_D = [], [], {c: [] for c in gk.chiralities}
-    for t in basis:
-        cols_d.append(to_vector(dhat(t), up))
-        cols_ds.append(to_vector(dstar_hat(t), down))
-        for c in gk.chiralities:
-            M = Dhat(t, c).matrix
-            cols_D[c].append([M[r][s] for r in range(8) for s in range(8)])
-    return basis, cols_d, cols_ds, cols_D
+    slots = [_project_slot(kind, b) for b in gk.gperp_forms]
+    acts = [_form_action(a, gk.gamma) for a in slots]
+    xs = [Multivector.blade(i) for i in range(1, 9)]
+    up, down = blades_of_grade(gk.degree + 1), blades_of_grade(gk.degree - 1)
+    cols_d = [to_vector(x ^ f, up) for x in xs for f in acts]
+    cols_ds = [to_vector(x.contract(f), down) for x in xs for f in acts]
+    cols_D = {}
+    for c in gk.chiralities:
+        sigma = sigma_canonical(kind, c)
+        svfs = [act2_svf(a, sigma).matrix for a in slots]
+        dst = "-" if sigma.target == "+" else "+"
+        cols_D[c] = [list(chain.from_iterable(_times_e(i, S, dst, sigma.target)))
+                     for i in range(1, 9) for S in svfs]
+    return cols_d, cols_ds, cols_D
 
 
 @lru_cache(maxsize=None)
@@ -393,17 +392,13 @@ def kernel_analysis(kind):
     """Exact ranks and kernels of the three operators on a basis of
     Lambda^1 (x) g-perp, plus the harmonic/Dirac kernel comparison."""
     gk = gkind(kind)
-    basis, cols_d, cols_ds, cols_D = _operator_columns(kind)
-    M_d = la.transpose(cols_d)
-    M_ds = la.transpose(cols_ds)
-    out = {
-        "domain_dim": len(basis),
-        "dhat_rank": la.rank(M_d),
-        "dstar_rank": la.rank(M_ds),
-    }
+    cols_d, cols_ds, cols_D = _operator_columns(kind)
+    M_d, M_ds = la.transpose(cols_d), la.transpose(cols_ds)
+    out = {"domain_dim": len(cols_d), "dhat_rank": la.rank(M_d),
+           "dstar_rank": la.rank(M_ds)}
     D_mats = {c: la.transpose(cols_D[c]) for c in gk.chiralities}
     for c in gk.chiralities:
-        out[f"dirac{c}_kernel_dim"] = len(basis) - la.rank(D_mats[c])
+        out[f"dirac{c}_kernel_dim"] = len(cols_d) - la.rank(D_mats[c])
     if kind == "PSU3":
         harmonic = Subspace("torsion", la.nullspace(M_d + M_ds))
         dirac = Subspace("torsion", la.nullspace(D_mats["+"] + D_mats["-"]))
@@ -415,9 +410,7 @@ def kernel_analysis(kind):
     out["harmonic_dim"] = harmonic.dim
     out["dirac_dim"] = dirac.dim
     joint = la.column_space_basis(harmonic.basis + dirac.basis)
-    out["kernels_equal"] = (
-        harmonic.dim == dirac.dim and len(joint) == harmonic.dim
-    )
+    out["kernels_equal"] = harmonic.dim == dirac.dim and len(joint) == harmonic.dim
     return out
 
 

@@ -14,7 +14,6 @@ from triality8.orbits import (
     OrbitError,
     bracket_from_form,
     coeff3,
-    form_from_bracket,
     gamma,
     is_supersymmetric,
     jac,
@@ -25,6 +24,18 @@ from triality8.scalars import I, ONE, SQRT3, ZERO, Scalar, half
 from triality8.structures import canonical_rho
 
 e = Multivector.blade
+
+
+def form_from_bracket(b):
+    """The unit-norm 3-form with rho(x,y,z) = g([x,y],z), up to scale."""
+    if b.is_zero():
+        raise OrbitError("cannot normalize the zero bracket")
+    rho = Multivector({mask_of(key): v for key, v in b.c.items()})
+    n2 = rho.norm2()
+    n = n2.sqrt() if isinstance(n2, Scalar) else None
+    if n is None:
+        raise OrbitError("norm falls outside the scalar field")
+    return rho * n.inverse()
 
 
 def rand3(rng, n=4):

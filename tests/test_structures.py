@@ -6,20 +6,24 @@ from hypothesis import given, settings, strategies as hs
 
 from triality8 import linalg as la
 from triality8.clifford import act2_svf, mu
-from triality8.exterior import Multivector, indices_of, parse_form, to_vector
-from triality8.scalars import CScalar, I, ONE, SQRT3, Scalar
+from triality8.exterior import Multivector, blades_of_grade, indices_of, parse_form, to_vector
+from triality8.orbits import bracket_from_form
+from triality8.scalars import CScalar, I, ONE, SQRT3, ZERO, Scalar
 from triality8.structures import (
     L2_MASKS,
+    Subspace,
     betti,
+    c_adjoint,
     c_apply,
     calibration_form,
     c_operator,
     calibration,
     calibration_maxima,
     calibration_sample,
+    canonical_omega,
+    canonical_rho,
     kaehler_forms,
     l2_form,
-    lambda4_split,
     p3,
     PROJECTIONS,
     project2,
@@ -28,10 +32,8 @@ from triality8.structures import (
     sp_stabilizer_residuals,
     stabilizer,
     stabilizer_cached,
-    su2_triple_check,
-    weight_eigen_check,
 )
-from triality8.structures import _det3, _det4, _project2_formula
+from triality8.structures import _c2_then_adjoint, projection_columns
 
 e = Multivector.blade
 
@@ -89,6 +91,17 @@ def test_p3_printed_expansions():
     ) * (ONE / 32)
 
 
+def lambda4_split():
+    """(ker of the differential on Lambda^4, image of the adjoint from
+    Lambda^5); the natural invariant splitting of Lambda^4, dims (35, 35)."""
+    masks = blades_of_grade(4)
+    out = Subspace("L4", la.nullspace(c_operator(4)))
+    adj = c_adjoint(4)
+    cols = [[adj[r][c] for r in range(len(masks))] for c in range(len(blades_of_grade(5)))]
+    inn = Subspace("L4", cols)
+    return out, inn
+
+
 def test_lambda4_split():
     out, inn = lambda4_split()
     assert (out.dim, inn.dim) == (35, 35)
@@ -120,6 +133,41 @@ def test_projections(rho, omega):
         assert p10p + p10m == a20.complexify()
         for beta, sgn in ((p10p, -1), (p10m, 1)):
             assert beta.act2(rho_c) == (rho_c ^ beta).star() * (I * SQRT3 * sgn)
+
+
+def _project2_formula(alpha, selector):
+    """The invariant projections of a 2-form by their defining formulas:
+    the oracle for the columns of ``projection_columns``."""
+    if selector == "psu3_20":
+        return _c2_then_adjoint(alpha) * (Scalar(4) / 3)
+    if selector == "psu3_8":
+        return alpha - _project2_formula(alpha, "psu3_20")
+    if selector in ("psu3_10+", "psu3_10-"):
+        # halves of the 20-part picked out by the eigen-identity
+        # beta * rho = -+ sqrt(3) i star(rho ^ beta)
+        rho = canonical_rho().complexify()
+        a = _c2_then_adjoint(alpha) * (Scalar(2) / 3)
+        b = (c_apply(alpha).complexify() ^ rho).star() * (SQRT3 * 2 / Scalar(3)) * I
+        return a.complexify() + (-b if selector.endswith("+") else b)
+    om = canonical_omega()
+    a1 = alpha.contract(om)
+    a2 = a1.contract(om)
+    if selector == "sp_3":
+        return (alpha * Scalar(-3) + a1 * 2 + a2) * (ONE / 32)
+    if selector == "sp_10":
+        return (alpha * 5 - a1 * 6 + a2) * (ONE / 32)
+    return (alpha * 15 + a1 * 2 - a2) * (ONE / 16)
+
+
+def test_projection_columns_match_formulas():
+    """The derived columns equal the defining formulas on every basis
+    2-form, entry for entry and type for type."""
+    for sel in PROJECTIONS:
+        cols = projection_columns(sel)
+        assert len(cols) == len(L2_MASKS)
+        for m, col in zip(L2_MASKS, cols):
+            want = _project2_formula(Multivector({m: ONE}), sel)
+            assert col == want and _types(col) == _types(want), (sel, m)
 
 
 # random exact 2-forms over Q(r3)[i]: all coefficients real, or all complex
@@ -193,6 +241,52 @@ def test_sigma_maps():
     assert dets[("PSU3", "+")] * dets[("PSU3", "-")] == -ONE
 
 
+def su2_triple_check():
+    """The bracket relations [T,E_i] = lambda_i(T) F_i etc. for the
+    distinguished su(2)-triples of the canonical bracket."""
+    rd = roots("PSU3")
+    b = bracket_from_form(canonical_rho())
+    t_basis = (Multivector.blade(3), Multivector.blade(8))
+    results = []
+    for Ei, Fi, lam in zip(rd.extras["E"], rd.extras["F"], rd.extras["lambda"]):
+        ok = True
+        for T in t_basis:
+            lT = lam.inner(T)
+            tE = _bracket_mv(b, T, Ei)
+            tF = _bracket_mv(b, T, Fi)
+            ok = ok and tE == Fi * lT and tF == -(Ei * lT)
+        ok = ok and _bracket_mv(b, Ei, Fi) == lam
+        results.append(ok)
+    return results
+
+
+def _bracket_mv(b, x, y):
+    xv = [x.coeff(i) for i in range(1, 9)]
+    yv = [y.coeff(i) for i in range(1, 9)]
+    out = b.bracket(xv, yv)
+    return Multivector({1 << i: v for i, v in enumerate(out)})
+
+
+def weight_eigen_check(kind):
+    """Each weight vector is an exact eigenvector of every torus generator
+    under the so(8)-action; returns {name: {torus_name: eigenvalue}}, with
+    None where a weight vector is not an eigenvector."""
+    rd = roots(kind)
+    report = {}
+    for name, w in rd.weight_vectors.items():
+        evs = {}
+        for tname, t in rd.torus.items():
+            img = t.act2(w)
+            pairs = [(img.terms.get(m, ZERO), w.terms.get(m, ZERO))
+                     for m in img.terms.keys() | w.terms.keys()]
+            try:
+                evs[tname] = la.common_ratio(pairs)
+            except la.RatioError:
+                evs[tname] = None
+        report[name] = evs
+    return report
+
+
 def test_roots_and_weights():
     assert su2_triple_check()
     for lam in roots("PSU3").extras["lambda"]:
@@ -228,6 +322,30 @@ def _minor_det(M):
         minor = [row[:c] + row[c + 1 :] for row in M[1:]]
         det += ((-1) ** c) * M[0][c] * _minor_det(minor)
     return det
+
+
+# The cofactor expansions of calibration_maxima, one set of columns at a
+# time: the determinant of the matrix whose rows are u, v, ... restricted
+# to the columns i, j, ...  test_calibration_sample_matches_recursive_minors
+# checks that they do the float operations of the recursive expansion, in
+# its order.
+
+
+def _det3(u, v, w, i, j, k):
+    def m(a, b):
+        return v[a] * w[b] - v[b] * w[a]
+
+    return u[i] * m(j, k) - u[j] * m(i, k) + u[k] * m(i, j)
+
+
+def _det4(u, v, w, x, i, j, k, l):
+    return (
+        0.0
+        + u[i] * _det3(v, w, x, j, k, l)
+        - u[j] * _det3(v, w, x, i, k, l)
+        + u[k] * _det3(v, w, x, i, j, l)
+        - u[l] * _det3(v, w, x, i, j, k)
+    )
 
 
 def _calibration_sample_oracle(kind, count, seed):

@@ -3,7 +3,7 @@ import pytest
 from triality8 import linalg as la
 from triality8 import torsion as to
 from triality8.clifford import act2_svf, block, kappa_form
-from triality8.exterior import Multivector, parse_form
+from triality8.exterior import Multivector, blades_of_grade, parse_form, to_vector
 from triality8.scalars import CScalar, I, ONE, SQRT3, Scalar
 from triality8.structures import c_apply, l2_form, p3, sigma_canonical, stabilizer_cached
 
@@ -79,6 +79,33 @@ def test_L_spectrum():
     assert to.l_spectrum() == {2: 8, 12: 32, 20: 16}
 
 
+def test_l_columns_match_L_op():
+    """The columns built by linearity are L_op of the basis 3-forms, entry
+    for entry."""
+    cols = to._l_columns()
+    assert len(cols) == len(to._L3_MASKS)
+    for m, col in zip(to._L3_MASKS, cols):
+        assert col == to_vector(to.L_op(Multivector({m: ONE})), to._L3_MASKS), m
+
+
+@pytest.mark.parametrize("kind", ["PSU3", "SP1SP2"])
+def test_operator_columns_match_per_tensor_operators(kind):
+    """The columns built by linearity are dhat, dstar_hat and Dhat of the
+    basis tensors e_i (x) b, entry for entry."""
+    gk = to.gkind(kind)
+    up, down = blades_of_grade(gk.degree + 1), blades_of_grade(gk.degree - 1)
+    cols_d, cols_ds, cols_D = to._operator_columns(kind)
+    basis = [to.TorsionTensor.simple(kind, e(i), b)
+             for i in range(1, 9) for b in gk.gperp_forms]
+    assert len(cols_d) == len(cols_ds) == len(basis) == gk.gperp.dim * 8
+    for n, t in enumerate(basis):
+        assert cols_d[n] == to_vector(to.dhat(t), up), n
+        assert cols_ds[n] == to_vector(to.dstar_hat(t), down), n
+        for c in gk.chiralities:
+            M = to.Dhat(t, c).matrix
+            assert cols_D[c][n] == [M[r][s] for r in range(8) for s in range(8)], (c, n)
+
+
 def test_tau_bracket_slots_and_dirac():
     tb = to.tau_bracket12()
     printed = {
@@ -92,14 +119,29 @@ def test_tau_bracket_slots_and_dirac():
     assert not to.Dhat(tb, "-").is_zero()
 
 
+def torsion_act(g, T):
+    """so(8)-action of a 2-form g on the torsion module (derivation on
+    both tensor slots)."""
+    slots = [Multivector.zero() for _ in range(8)]
+    for i, a in enumerate(T.slots):
+        if a:
+            gX = g.act2(Multivector.blade(i + 1))
+            for j in range(1, 9):
+                c = gX.coeff(j)
+                if c:
+                    slots[j - 1] = slots[j - 1] + a * c
+            slots[i] = slots[i] + g.act2(a)
+    return to.TorsionTensor(T.kind, slots)
+
+
 def test_equivariance():
     g = l2_form(stabilizer_cached("PSU3").basis[0])
     T = to.TorsionTensor.simple("PSU3", e(3), e(1, 2)) + to.TorsionTensor.simple(
         "PSU3", e(5), e(4, 8)
     )
-    assert to.dhat(to.torsion_act(g, T)) == g.act2(to.dhat(T))
-    assert to.dstar_hat(to.torsion_act(g, T)) == g.act2(to.dstar_hat(T))
-    assert to.Dhat(to.torsion_act(g, T), "+") == act2_svf(g, to.Dhat(T, "+"))
+    assert to.dhat(torsion_act(g, T)) == g.act2(to.dhat(T))
+    assert to.dstar_hat(torsion_act(g, T)) == g.act2(to.dstar_hat(T))
+    assert to.Dhat(torsion_act(g, T), "+") == act2_svf(g, to.Dhat(T, "+"))
 
 
 def test_schur_constants():
