@@ -383,6 +383,11 @@ def test_calibration_sample_matches_recursive_minors():
         for seed in (1, 20260826, 987654321):
             assert calibration_sample(kind, 200, seed=seed) == \
                 _calibration_sample_oracle(kind, 200, seed)
+        # one sample per seed, so that every value is compared, not only
+        # the largest
+        for seed in range(200):
+            assert calibration_sample(kind, 1, seed=seed) == \
+                _calibration_sample_oracle(kind, 1, seed)
 
 
 def test_calibration_maxima_matches_per_kind_oracle():
