@@ -27,7 +27,8 @@ from .. import lazy
 from ..scalars import Frozen
 
 # the other submodules, which run when a claim first uses one of their
-# names; the area modules take these handles from here
+# names.  The area modules take these handles from here, and each waits in
+# sys.modules once the index has run (perfbench/spans.py looks for it there)
 cf = lazy("clifford")
 ex = lazy("exterior")
 fr = lazy("frames")

@@ -248,6 +248,16 @@ def Dhat(T, chirality="+"):
     return total if total is not None else SpinorMap(la.zeros(8, 8), "v", dst)
 
 
+def _times_e(i, S, target, source):
+    """kappa_block(e_i, target, source) S for an 8x8 matrix S: the block is
+    a signed permutation, so the rows of the product are rows of S, signed."""
+    rows = []
+    for row in kappa_block(Multivector.blade(i), target, source):
+        c, x = next((c, x) for c, x in enumerate(row) if x)
+        rows.append(S[c] if x == ONE else [-y for y in S[c]])
+    return rows
+
+
 # -- the operator L on 3-forms (quaternionic geometry) ---------------------
 
 _L3_MASKS = tuple(blades_of_grade(3))
@@ -355,13 +365,6 @@ def l_spectrum():
 
 
 # -- exact kernel analysis -------------------------------------------------
-
-
-def _times_e(i, S, target, source):
-    """kappa_block(e_i, target, source) S for an 8x8 matrix S: the block is
-    a signed permutation, so its rows are rows of S, signed."""
-    return [next(S[c] if x == ONE else [-y for y in S[c]] for c, x in enumerate(row) if x)
-            for row in kappa_block(Multivector.blade(i), target, source)]
 
 
 @lru_cache(maxsize=None)
