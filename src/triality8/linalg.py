@@ -1,35 +1,39 @@
 """Dense exact linear algebra over Q(r3) and Q(r3)[i].
 
-Matrices are lists of rows of Scalar/CScalar.  ``rref`` is Gauss-Jordan
-elimination with exact field arithmetic ("first nonzero" pivoting; exact
-zero tests make breakdown impossible).
+Matrices are lists of rows of Scalar/CScalar.  ``det`` is exact Gaussian
+elimination.  ``rank``, ``nullspace``, ``column_space_basis`` and
+``solve`` (and with them ``in_span`` and ``same_span``) rest on one
+certified elimination over the integers mod 62-bit primes p = 1 (mod 12).
 
-``rank``, ``nullspace``, ``column_space_basis`` and ``solve`` (and with
-them ``in_span`` and ``same_span``) take a faster route to the same exact
-answer.  Each entry a + b r3 + (c + d r3) i is mapped to the integers mod
-the prime P = 1 (mod 12) under every embedding r3 -> +-S3, i -> +-J the
-entries need, and Gauss-Jordan runs on plain ints once per embedding.
-From the reduced matrices the exact entries R[row][f] of every free
-column f are rebuilt by rational reconstruction and then certified:
+Each entry a + b r3 + (c + d r3) i is mapped to the integers mod p under
+every embedding r3 -> +-S3, i -> +-J the entries need, and Gauss-Jordan
+runs on plain ints once per embedding.  From the reduced matrices the
+exact entries R[row][f] of every free column f are rebuilt by rational
+reconstruction and then certified:
 
 - each free column must equal the same combination of the pivot columns
   exactly, A[:, f] == sum_row R[row][f] A[:, pivot(row)], checked on the
   nonzero entries of each row in integer arithmetic;
-- the rank mod P is a lower bound on the rank, and the certified free
-  columns are n - rank_P independent kernel vectors, an upper bound; so
+- the rank mod p is a lower bound on the rank, and the certified free
+  columns are n - rank_p independent kernel vectors, an upper bound; so
   the rank is exact, each free column depends on earlier pivots only, the
   pivots are the exact pivots, and the rebuilt entries are the exact RREF
-  entries.  A rank mod P equal to min(m, n) proves the rank on its own.
+  entries.  A rank mod p equal to min(m, n) proves the rank on its own.
 
-When any step fails (a denominator divisible by P, a reconstruction out of
-bound, embeddings that disagree, or a nonzero residual) the exact ``rref``
-answers instead, so no uncertified result is ever returned.
+When a prime cannot certify (a denominator divisible by p, a rank that
+drops mod p, an entry past the reconstruction bound sqrt(p/2), or a
+nonzero residual) the next prime of PRIMES is eliminated too.  The primes
+that reach the best pivot list seen (the most pivots, then the
+lexicographically first list) are joined by the Chinese remainder theorem,
+and the entries are reconstructed mod their product M, with bound
+sqrt(M/2), and certified again.  When every prime fails, ArithmeticError
+names the matrix: no uncertified result is ever returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
 from .scalars import CScalar, Scalar
@@ -37,14 +41,14 @@ from .scalars import CScalar, Scalar
 ZERO = Scalar(0)
 ONE = Scalar(1)
 
-# P = 2**62 - 87 is prime with P = 1 (mod 12), so F_P holds the 12th roots
-# of unity.  OMEGA is a primitive one; S3 = OMEGA + OMEGA**11 squares to 3
-# and J = OMEGA**3 squares to -1.
-P = 4611686018427387817
-OMEGA = 3957490443050210331
-S3 = 3424158488519234639
-J = 4490822397581186023
-_BOUND = isqrt(P // 2)  # numerator and denominator bound of reconstruction
+# 62-bit primes p = 1 (mod 12), so F_p holds the 12th roots of unity, each
+# with a primitive one w: S3 = w + w**11 squares to 3 and J = w**3 to -1.
+PRIMES = (
+    (4611686018427387817, 3957490443050210331),  # 2**62 - 87
+    (4611686018427387733, 4323614181204999790),
+    (4611686018427387709, 3144011615910092798),
+    (4611686018427387421, 4448369033762642070),
+)
 
 # product of the basis elements (1, r3, i, r3 i): (index, factor)
 _TIMES = [
@@ -113,84 +117,59 @@ def is_zero_matrix(A):
     return all(not x for row in A for x in row)
 
 
-def rref(A):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    R = [row[:] for row in A]
+# -- certified elimination mod primes ----------------------------------------
+
+
+class _Uncertified(Exception):
+    """The primes tried so far could not certify the answer."""
+
+
+def _residue(q, p):
+    den = int(q.denominator)
+    if den == 1:
+        return int(q.numerator) % p
+    if den % p == 0:
+        raise _Uncertified("denominator divisible by p")
+    return int(q.numerator) * pow(den, -1, p) % p
+
+
+def _reconstruct(u, M, bound):
+    """The rational n/d with |n|, d <= bound and n = u d (mod M)."""
+    if u <= bound:
+        return u
+    if M - u <= bound:
+        return u - M
+    r0, r1, t0, t1 = M, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound:
+        raise _Uncertified("reconstruction out of bound")
+    return Fraction(r1, t1)
+
+
+def _rref_mod(R, p):
+    """Gauss-Jordan mod p on rows of ints, in place; returns the pivots."""
     rows = len(R)
-    cols = len(R[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(len(R[0])):
         if r == rows:
             break
         pr = next((i for i in range(r, rows) if R[i][c]), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-# -- certified elimination mod P ---------------------------------------------
-
-
-class _Uncertified(Exception):
-    """The answer mod P could not be certified; the exact rref decides."""
-
-
-def _residue(q):
-    den = int(q.denominator)
-    if den == 1:
-        return int(q.numerator) % P
-    if den % P == 0:
-        raise _Uncertified("denominator divisible by P")
-    return int(q.numerator) * pow(den, -1, P) % P
-
-
-def _reconstruct(u):
-    """The rational n/d with |n|, d <= _BOUND and n = u d (mod P)."""
-    if u <= _BOUND:
-        return u
-    if P - u <= _BOUND:
-        return u - P
-    r0, r1, t0, t1 = P, u, 0, 1
-    while r1 > _BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > _BOUND:
-        raise _Uncertified("reconstruction out of bound")
-    return Fraction(r1, t1)
-
-
-def _rref_mod(M):
-    """Gauss-Jordan mod P on rows of ints, in place; returns the pivots."""
-    rows = len(M)
-    pivots = []
-    r = 0
-    for c in range(len(M[0])):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = pow(M[r][c], -1, P)
+        inv = pow(R[r][c], -1, p)
         # the pivot row is zero left of c
-        tail = [x * inv % P for x in M[r][c:]]
-        M[r][c:] = tail
+        tail = [x * inv % p for x in R[r][c:]]
+        R[r][c:] = tail
         for i in range(rows):
-            f = M[i][c]
+            f = R[i][c]
             if f and i != r:
-                M[i][c:] = [(x - f * y) % P for x, y in zip(M[i][c:], tail)]
+                R[i][c:] = [(x - f * y) % p for x, y in zip(R[i][c:], tail)]
         pivots.append(c)
         r += 1
     return pivots
@@ -198,12 +177,11 @@ def _rref_mod(M):
 
 class _Field:
     """The entries of a matrix split into exact components over the basis
-    (1, r3, i, r3 i), with their images under each embedding into F_P."""
+    (1, r3, i, r3 i), and the embeddings into F_p that they need."""
 
     def __init__(self, A):
         self.parts = {}  # entry -> (a, b, c, d)
         self.is_complex = False
-        images = {}
         for row in A:
             for x in row:
                 if x and x not in self.parts:
@@ -213,44 +191,85 @@ class _Field:
                         self.parts[x] = (x.re.a, x.re.b, x.im.a, x.im.b)
                         self.is_complex = True
                     else:
-                        raise _Uncertified(f"entry of type {type(x).__name__}")
-                    images[x] = [_residue(q) for q in self.parts[x]]
+                        raise TypeError(f"entry of type {type(x).__name__}")
         r3 = any(p[1] or p[3] for p in self.parts.values())
         im = any(p[2] or p[3] for p in self.parts.values())
         self.comps = [k for k, on in enumerate((True, r3, im, r3 and im)) if on]
         # embeddings r3 -> es*S3, i -> ej*J, as sign pairs (es, ej)
         self.signs = [(es, ej) for ej in (1, -1)[: 1 + im] for es in (1, -1)[: 1 + r3]]
-        self.images = {}
-        for x, (a, b, c, d) in images.items():
-            self.images[x] = [
-                (a + es * S3 * b + ej * J * (c + es * S3 * d)) % P
-                for es, ej in self.signs
-            ]
-        # component k is sum_e sign_k(e) image(e) / (number of embeddings *
-        # root_k), with sign_k(e) = 1, es, ej, es*ej and root_k = 1, S3, J, S3*J
+
+    def images(self, p, w):
+        """Each entry's residues mod p under the embeddings, and for each
+        component k its signs and factor: component k is sum_e sign_k(e)
+        image(e) / (number of embeddings * root_k), with sign_k(e) = 1, es,
+        ej, es*ej and root_k = 1, S3, J, S3*J."""
+        s3, j = (w + pow(w, 11, p)) % p, pow(w, 3, p)
+        images = {}
+        for x, parts in self.parts.items():
+            a, b, c, d = [_residue(q, p) for q in parts]
+            images[x] = [(a + es * s3 * b + ej * j * (c + es * s3 * d)) % p
+                         for es, ej in self.signs]
         n = len(self.signs)
-        roots = (1, S3, J, S3 * J)
-        self.unmix = {k: pow(n * roots[k] % P, -1, P) for k in self.comps}
-
-    def reduced(self, A, k):
-        """A under embedding k, as rows of ints mod P."""
-        images = self.images
-        return [[images[x][k] if x else 0 for x in row] for row in A]
-
-    def components(self, values):
-        """Exact components (a, b, c, d) of the element whose images under
-        the embeddings are the given residues."""
-        out = [0, 0, 0, 0]
-        for k, inv in self.unmix.items():
-            s = sum((1, es, ej, es * ej)[k] * u for (es, ej), u in zip(self.signs, values))
-            out[k] = _reconstruct(s * inv % P)
-        return out
+        roots = (1, s3, j, s3 * j)
+        return images, [([(1, es, ej, es * ej)[k] for es, ej in self.signs],
+                         pow(n * roots[k] % p, -1, p)) for k in self.comps]
 
     def element(self, parts):
         a, b, c, d = parts
         if self.is_complex:
             return CScalar(Scalar(a, b), Scalar(c, d))
         return Scalar(a, b)
+
+
+def _eliminate(field, A, p, w, full_rank):
+    """Gauss-Jordan of A mod p under every embedding: the pivots, alike
+    under each, and {free column f: {pivot column: residues mod p of the
+    components field.comps of R[row][f]}}, or None once the rank is full_rank."""
+    images, unmix = field.images(p, w)
+
+    def image(k):
+        return [[images[x][k] if x else 0 for x in row] for row in A]
+
+    reduced = [image(0)]
+    pivots = _rref_mod(reduced[0], p)
+    if len(pivots) == full_rank:
+        return pivots, None
+    for k in range(1, len(field.signs)):
+        reduced.append(image(k))
+        if _rref_mod(reduced[k], p) != pivots:
+            raise _Uncertified("embeddings disagree on the pivots")
+    piv_set = set(pivots)
+    residues = {}
+    for f in range(len(A[0])):
+        if f in piv_set:
+            continue
+        residues[f] = entries = {}
+        for r, c in enumerate(pivots):
+            if c > f:
+                break
+            values = [R[r][f] for R in reduced]
+            if any(values):
+                entries[c] = [sum(map(mul, sk, values)) * inv % p for sk, inv in unmix]
+    return pivots, residues
+
+
+def _rebuild(field, kept):
+    """Exact components (a, b, c, d) of every free-column entry from its
+    residues mod the kept primes, joined by the Chinese remainder theorem
+    and reconstructed mod their product M with the bound sqrt(M/2)."""
+    M = prod(p for p, _ in kept)
+    bound = isqrt(M // 2)
+    crt = [(M // p * pow(M // p, -1, p), res) for p, res in kept]
+    parts = {}
+    for f in kept[0][1]:
+        parts[f] = entries = {}
+        for c in {c for _, res in crt for c in res[f]}:
+            out = [0, 0, 0, 0]
+            for i, k in enumerate(field.comps):
+                u = sum(e * res[f][c][i] for e, res in crt if c in res[f])
+                out[k] = _reconstruct(u % M, M, bound)
+            entries[c] = out
+    return parts
 
 
 def _certify(field, A, pivots, columns):
@@ -291,58 +310,40 @@ def _certify(field, A, pivots, columns):
                 raise _Uncertified("residual is not zero")
 
 
-def _modular_reduced(A, rank_only=False):
-    """Certified (pivots, columns) of the RREF of A, where columns maps each
-    free column f to {pivot column: R[row][f]}.  With rank_only, a rank
-    mod P of min(m, n) returns (pivots, None) at once: it proves the rank
-    but not the pivots."""
+def _reduced(A, rank_only=False):
+    """Certified pivot columns of the RREF of A and, for each free column f,
+    its nonzero entries R[row][f] keyed by the pivot column of the row.
+    With rank_only, a rank mod p of min(m, n) returns (pivots, None) at
+    once: it proves the rank but not the pivots."""
+    if not A or not A[0]:
+        return [], {}
     m, n = len(A), len(A[0])
     field = _Field(A)
-    reduced = [field.reduced(A, 0)]
-    pivots = _rref_mod(reduced[0])
-    if rank_only and len(pivots) == min(m, n):
-        return pivots, None
-    for k in range(1, len(field.signs)):
-        reduced.append(field.reduced(A, k))
-        if _rref_mod(reduced[k]) != pivots:
-            raise _Uncertified("embeddings disagree on the pivots")
-    piv_set = set(pivots)
-    parts = {}
-    for f in range(n):
-        if f in piv_set:
-            continue
-        parts[f] = {}
-        for r, c in enumerate(pivots):
-            if c > f:
-                break
-            values = [R[r][f] for R in reduced]
-            if any(values):
-                parts[f][c] = field.components(values)
-    _certify(field, A, pivots, parts)
-    columns = {
-        f: {c: field.element(p) for c, p in entries.items()}
-        for f, entries in parts.items()
-    }
-    return pivots, columns
-
-
-def _reduced(A):
-    """Pivot columns of the RREF of A and, for each free column f, its
-    nonzero entries R[row][f] keyed by the pivot column of the row."""
-    if A and A[0]:
+    full_rank = min(m, n) if rank_only else None
+    best, kept = None, []  # the best pivot list seen; (p, residues) reaching it
+    for p, w in PRIMES:
         try:
-            return _modular_reduced(A)
+            pivots, residues = _eliminate(field, A, p, w, full_rank)
         except _Uncertified:
-            pass
-    R, pivots = rref(A)
-    piv_set = set(pivots)
-    cols = len(A[0]) if A else 0
-    columns = {
-        f: {c: R[r][f] for r, c in enumerate(pivots) if R[r][f]}
-        for f in range(cols)
-        if f not in piv_set
-    }
-    return pivots, columns
+            continue
+        if residues is None:
+            return pivots, None
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, kept = key, []
+        elif key != best:
+            continue
+        kept.append((p, residues))
+        try:
+            parts = _rebuild(field, kept)
+            _certify(field, A, pivots, parts)
+        except _Uncertified:
+            continue
+        return pivots, {
+            f: {c: field.element(x) for c, x in entries.items()}
+            for f, entries in parts.items()
+        }
+    raise ArithmeticError(f"{len(PRIMES)} primes did not certify the {m}x{n} matrix")
 
 
 def rank(A):
@@ -350,10 +351,7 @@ def rank(A):
         return 0
     if len(A[0]) > len(A):
         A = transpose(A)  # fewer kernel vectors to certify
-    try:
-        return len(_modular_reduced(A, rank_only=True)[0])
-    except _Uncertified:
-        return len(rref(A)[1])
+    return len(_reduced(A, rank_only=True)[0])
 
 
 def nullspace(A, ncols=None):

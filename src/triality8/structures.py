@@ -22,8 +22,7 @@ from .exterior import (
     mask_of,
     to_vector,
 )
-from .orbits import coeff3
-from .scalars import Frozen, I, SQRT3, Scalar, complexify, half, quarter
+from .scalars import Frozen, I, SQRT3, Scalar, half, quarter
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -129,9 +128,12 @@ def _c1_images():
     for i in range(1, 9):
         terms = {}
         for j, k in combinations(range(1, 9), 2):
-            v = coeff3(rho, i, j, k)
+            if i in (j, k):
+                continue
+            v = rho.terms.get(mask_of((i, j, k)))
             if v:
-                terms[mask_of((j, k))] = v
+                # rho_ijk is -rho_jik when i lies between j and k
+                terms[mask_of((j, k))] = -v if j < i < k else v
         imgs.append(Multivector(terms))
     return imgs
 
@@ -376,67 +378,6 @@ def sigma_canonical(kind, chirality):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return SpinorMap(M, "v", "-" if chirality == "+" else "+")
-
-
-# -- root and weight data --------------------------------------------------
-
-
-class RootData(Frozen):
-    __slots__ = ("kind", "torus", "weight_vectors", "extras")
-
-    def __init__(self, kind, torus, weight_vectors, extras):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "weight_vectors", weight_vectors)
-        object.__setattr__(self, "extras", extras)
-
-
-def _cvec(*pairs):
-    """Complex 1-form from (index, CScalar) pairs."""
-    return Multivector({mask_of((i,)): complexify(c) for i, c in pairs})
-
-
-@lru_cache(maxsize=None)
-def roots(kind):
-    e = Multivector.blade
-    one, i_ = ONE, I
-    if kind == "PSU3":
-        rho = canonical_rho()
-        torus = {
-            "x3": e(3).contract(rho),
-            "x8": e(8).contract(rho),
-        }
-        wv = {
-            "alpha1": _cvec((4, one), (5, -i_)),
-            "alpha2": _cvec((6, one), (7, i_)),
-            "alpha1+alpha2": _cvec((1, one), (2, -i_)),
-        }
-        # E_1=e5, F_1=-e4; E_2=-e6, F_2=e7; E_3=e1, F_3=e2
-        extras = {
-            "E": (e(5), -e(6), e(1)),
-            "F": (-e(4), e(7), e(2)),
-            "lambda": (
-                (e(3) + SQRT3 * e(8)) * quarter(),
-                (e(3) - SQRT3 * e(8)) * quarter(),
-                e(3) * half(),
-            ),
-        }
-        return RootData(kind, torus, wv, extras)
-    if kind == "SP1SP2":
-        w_i, _, _ = kaehler_forms()
-        torus = {
-            "a1": w_i * half(),
-            "a2": e(1, 2) + e(3, 4) + e(5, 6) + e(7, 8),
-            "a3": e(1, 2) + e(3, 4) - e(5, 6) - e(7, 8),
-        }
-        wv = {
-            "(a+b1)/2": _cvec((5, one), (6, -i_)),
-            "(a-b1)/2": _cvec((7, one), (8, i_)),
-            "(a+b1)/2+b2": _cvec((1, one), (2, -i_)),
-            "(a-b1)/2-b2": _cvec((3, one), (4, i_)),
-        }
-        return RootData(kind, torus, wv, {})
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # -- calibrations ----------------------------------------------------------

@@ -17,8 +17,10 @@ from triality8.frames import Connection, FrameAlgebra
 from triality8.obstructions import CharData
 from triality8.orbits import BracketTable, OrbitClass
 from triality8.scalars import ONE, CScalar, Frozen, Scalar
-from triality8.structures import Subspace, l2_vector, roots
+from triality8.structures import Subspace, l2_vector
 from triality8.torsion import TorsionTensor, gkind
+
+from test_structures import roots  # the root data is test-only
 
 e = Multivector.blade
 

@@ -7,6 +7,8 @@ from hypothesis import event, given, settings, strategies as st
 from triality8 import linalg as la
 from triality8.scalars import I, ONE, SQRT3, ZERO, CScalar, Scalar
 
+P = la.PRIMES[0][0]
+
 
 def rand_matrix(rng, n, m):
     return [
@@ -60,12 +62,39 @@ def test_span_helpers():
 # -- the certified modular path against the exact rref ----------------------
 
 
+def rref(A):
+    """Reduced row echelon form by exact Gauss-Jordan elimination ("first
+    nonzero" pivoting). Returns (R, pivot_columns); the oracle of the
+    modular path."""
+    R = [row[:] for row in A]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [x * inv for x in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
 def ref_rank(A):
-    return len(la.rref(A)[1]) if A and A[0] else 0
+    return len(rref(A)[1]) if A and A[0] else 0
 
 
 def ref_nullspace(A):
-    R, pivots = la.rref(A)
+    R, pivots = rref(A)
     basis = []
     for f in range(len(A[0])):
         if f in pivots:
@@ -80,7 +109,7 @@ def ref_nullspace(A):
 
 def ref_solve(A, b):
     cols = len(A[0])
-    R, pivots = la.rref([list(row) + [x] for row, x in zip(A, b)])
+    R, pivots = rref([list(row) + [x] for row, x in zip(A, b)])
     if cols in pivots:
         return None
     x = [ZERO] * cols
@@ -90,7 +119,7 @@ def ref_solve(A, b):
 
 
 def ref_column_space_basis(vectors):
-    return [vectors[c] for c in la.rref(la.transpose(vectors))[1]]
+    return [vectors[c] for c in rref(la.transpose(vectors))[1]]
 
 
 small = st.one_of(
@@ -123,22 +152,37 @@ def matrices(draw, field):
     return mat(m, n)
 
 
+def record_moduli(monkeypatch):
+    """The modulus of every elimination mod a prime from now on."""
+    moduli = []
+    real = la._rref_mod
+
+    def recorded(R, p):
+        moduli.append(p)
+        return real(R, p)
+
+    monkeypatch.setattr(la, "_rref_mod", recorded)
+    return moduli
+
+
+def assert_reduced_equals_rref(A):
+    R, pivots = rref(A)
+    got_pivots, columns = la._reduced(A)
+    assert got_pivots == pivots
+    assert sorted(columns) == [f for f in range(len(A[0])) if f not in pivots]
+    for f, entries in columns.items():
+        assert all(entries.get(c, ZERO) == R[r][f] for r, c in enumerate(pivots))
+
+
 @pytest.mark.parametrize("field", sorted(ELEMENTS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_answers_equal_exact_rref(field, data):
     A = data.draw(matrices(field))
-    R, pivots = la.rref(A)
-    try:
-        got_pivots, columns = la._modular_reduced(A)
-    except la._Uncertified:  # e.g. RREF coefficients beyond the bound
-        event("exact fallback")
-    else:
-        event("certified mod P")
-        assert got_pivots == pivots
-        assert sorted(columns) == [f for f in range(len(A[0])) if f not in pivots]
-        for f, entries in columns.items():
-            assert all(entries.get(c, ZERO) == R[r][f] for r, c in enumerate(pivots))
+    with pytest.MonkeyPatch.context() as mp:
+        moduli = record_moduli(mp)
+        assert_reduced_equals_rref(A)
+    event(f"{len(set(moduli))} primes")
     assert la.rank(A) == ref_rank(A)
     assert la.nullspace(A) == ref_nullspace(A)
     vectors = la.transpose(A)
@@ -148,16 +192,27 @@ def test_answers_equal_exact_rref(field, data):
         assert la.solve(A, b) == ref_solve(A, b)
 
 
-def count_rref(monkeypatch):
-    calls = []
-    real = la.rref
+# small primes = 1 (mod 12) with a primitive 12th root of unity: unlucky
+# primes, pivot lists that disagree and an exhausted list are all common
+SMALL_PRIMES = ((13, 2), (37, 8), (61, 21), (73, 3), (97, 6))
 
-    def counted(A):
-        calls.append((len(A), len(A[0]) if A else 0))
-        return real(A)
 
-    monkeypatch.setattr(la, "rref", counted)
-    return calls
+@pytest.mark.parametrize("field", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_small_primes_certify_or_raise(field, data):
+    A = data.draw(matrices(field))
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(la, "PRIMES", SMALL_PRIMES)
+            moduli = record_moduli(mp)
+            assert_reduced_equals_rref(A)
+    except ArithmeticError as ex:
+        assert type(ex) is ArithmeticError
+        assert str(ex) == f"5 primes did not certify the {len(A)}x{len(A[0])} matrix"
+        event("every prime failed")
+    else:
+        event(f"certified with {len(set(moduli))} primes")
 
 
 def assert_exact_answers(A):
@@ -174,10 +229,10 @@ def assert_exact_answers(A):
     "A",
     [
         # a denominator divisible by P
-        [[Scalar(Fraction(1, la.P)), ONE, ONE], [ONE, ONE, Scalar(2)]],
+        [[Scalar(Fraction(1, P)), ONE, ONE], [ONE, ONE, Scalar(2)]],
         # an entry equal to P: the rank drops mod P
-        [[Scalar(la.P), ONE], [ZERO, ONE], [ZERO, ONE]],
-        [[Scalar(0, la.P), ONE, ONE], [ZERO, ONE, ONE]],
+        [[Scalar(P), ONE], [ZERO, ONE], [ZERO, ONE]],
+        [[Scalar(0, P), ONE, ONE], [ZERO, ONE, ONE]],
         # kernel coefficients beyond the reconstruction bound
         [[ONE, Scalar(2**40)], [Scalar(2), Scalar(2**41)]],
         [[Scalar(2**40 + 1), ONE], [Scalar(2**41 + 2), Scalar(2)]],
@@ -185,13 +240,16 @@ def assert_exact_answers(A):
     ],
 )
 def test_forced_fallback_stays_exact(monkeypatch, A):
-    calls = count_rref(monkeypatch)
+    moduli = record_moduli(monkeypatch)
     assert_exact_answers(A)
-    assert calls  # the exact path answered
+    assert_reduced_equals_rref(A)
+    # the first prime could not certify (with a denominator divisible by P
+    # it cannot even reduce the matrix): a later prime answered
+    assert set(moduli) - {P}
 
 
 def test_fast_path_on_small_matrices(monkeypatch):
-    calls = count_rref(monkeypatch)
+    moduli = record_moduli(monkeypatch)
     A = [[ONE, SQRT3, Scalar(2)], [Scalar(2), SQRT3 * 2, Scalar(4)]]
     assert la.rank(A) == 1
     assert len(la.nullspace(A)) == 2
@@ -201,17 +259,17 @@ def test_fast_path_on_small_matrices(monkeypatch):
     A = [[ONE, I, SQRT3], [I, -ONE, SQRT3 * I]]
     assert la.rank(A) == 1
     assert la.nullspace(A) == [[-I, ONE, ZERO], [-SQRT3, ZERO, ONE]]
-    assert calls == []
+    assert moduli and set(moduli) == {P}
 
 
 def test_torsion_kernels_never_call_rref(monkeypatch):
     from triality8 import torsion
 
-    calls = count_rref(monkeypatch)
+    moduli = record_moduli(monkeypatch)
     ka = torsion.kernel_analysis.__wrapped__("SP1SP2")
     assert (ka["dhat_rank"], ka["harmonic_dim"], ka["kernels_equal"]) == (56, 64, True)
     assert torsion.l_spectrum.__wrapped__() == {2: 8, 12: 32, 20: 16}
-    assert calls == []
+    assert moduli and set(moduli) == {P}
 
 
 def is_prime(n):
@@ -239,16 +297,19 @@ def is_prime(n):
 
 
 def test_modulus_constants():
-    P = la.P
     # the test itself tells primes from strong pseudoprimes
     assert [n for n in range(60) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(3215031751) and not is_prime(3825123056546413051)
-    assert is_prime(P) and P % 12 == 1 and 2**61 < P < 2**62
-    w = la.OMEGA
-    assert pow(w, 12, P) == 1 and pow(w, 4, P) != 1 and pow(w, 6, P) != 1
-    assert la.S3 == (w + pow(w, 11, P)) % P and la.S3 * la.S3 % P == 3
-    assert la.J == pow(w, 3, P) and la.J * la.J % P == P - 1
+    assert la.PRIMES[0][0] == P == 2**62 - 87
+    assert len({p for p, _ in la.PRIMES}) == len(la.PRIMES)
+    for p, w in la.PRIMES + SMALL_PRIMES:
+        assert is_prime(p) and p % 12 == 1
+        assert pow(w, 12, p) == 1 and pow(w, 4, p) != 1 and pow(w, 6, p) != 1
+        # the embedding's images of r3 and i
+        s3, j = (w + pow(w, 11, p)) % p, pow(w, 3, p)
+        assert s3 * s3 % p == 3 and j * j % p == p - 1
+    assert all(2**61 < p < 2**62 for p, _ in la.PRIMES)
 
 
 def test_common_ratio_reports_each_failure():
@@ -282,3 +343,37 @@ def test_common_ratio_recovers_the_factor(dens, a, b):
             la.common_ratio(pairs)
     else:
         assert la.common_ratio(pairs) == z
+
+
+def test_rotated_rho_derived_algebra_is_certified(monkeypatch, rho):
+    """The 8 x 26-28 matrix of brackets [e_i, e_j] that lie_classify
+    reduces for a rotated rho has RREF entries past the reconstruction
+    bound of one prime on draws 1, 3, 4, 7, 8 and 11 of random.Random(5):
+    a second prime certifies them."""
+    from triality8.claims.orbit import _pythagorean_rotation
+    from triality8.exterior import apply_linear
+    from triality8.orbits import orbit_classify
+
+    calls = []  # (matrix, moduli of its eliminations)
+    reduced, rref_mod = la._reduced, la._rref_mod
+
+    def recorded(A, rank_only=False):
+        calls.append((A, []))
+        return reduced(A, rank_only)
+
+    def recorded_mod(R, p):
+        calls[-1][1].append(p)
+        return rref_mod(R, p)
+
+    monkeypatch.setattr(la, "_reduced", recorded)
+    monkeypatch.setattr(la, "_rref_mod", recorded_mod)
+    rng = random.Random(5)
+    primes = []
+    for _ in range(12):
+        calls.clear()
+        oc = orbit_classify(apply_linear(_pythagorean_rotation(rng), rho))
+        assert (oc.kind, oc.orientation) == ("L1_psu3", "reversing")
+        [(A, moduli)] = [(A, m) for A, m in calls if len(A) == 8 and 26 <= len(A[0]) <= 28]
+        primes.append(len(set(moduli)))
+        assert_reduced_equals_rref(A)
+    assert [n for n, k in enumerate(primes) if k > 1] == [1, 3, 4, 7, 8, 11]

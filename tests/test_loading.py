@@ -78,7 +78,7 @@ def test_stabilizer_claim_runs_no_torsion_module():
     ran, code = _cli("verify", "stab.rho", "--format", "json")
     assert code == 0
     assert "structures" in ran
-    assert not ran & {"torsion", "frames", "obstructions"}
+    assert not ran & {"torsion", "frames", "obstructions", "orbits"}
     assert "claims" in ran and _areas(ran) == {"claims.stab"}
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -6,9 +7,27 @@ from hypothesis import given, settings, strategies as hs
 
 from triality8 import linalg as la
 from triality8.clifford import act2_svf, mu
-from triality8.exterior import Multivector, blades_of_grade, indices_of, parse_form, to_vector
+from triality8.exterior import (
+    Multivector,
+    blades_of_grade,
+    indices_of,
+    mask_of,
+    parse_form,
+    to_vector,
+)
 from triality8.orbits import bracket_from_form
-from triality8.scalars import CScalar, I, ONE, SQRT3, ZERO, Scalar
+from triality8.scalars import (
+    CScalar,
+    Frozen,
+    I,
+    ONE,
+    SQRT3,
+    ZERO,
+    Scalar,
+    complexify,
+    half,
+    quarter,
+)
 from triality8.structures import (
     L2_MASKS,
     Subspace,
@@ -27,7 +46,6 @@ from triality8.structures import (
     p3,
     PROJECTIONS,
     project2,
-    roots,
     sigma_canonical,
     sp_stabilizer_residuals,
     stabilizer,
@@ -239,6 +257,67 @@ def test_sigma_maps():
     # the two special-side determinants must multiply to det of the induced
     # map, which is -1; equal signs are impossible
     assert dets[("PSU3", "+")] * dets[("PSU3", "-")] == -ONE
+
+
+# -- root and weight data ---------------------------------------------------
+
+
+class RootData(Frozen):
+    __slots__ = ("kind", "torus", "weight_vectors", "extras")
+
+    def __init__(self, kind, torus, weight_vectors, extras):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "weight_vectors", weight_vectors)
+        object.__setattr__(self, "extras", extras)
+
+
+def _cvec(*pairs):
+    """Complex 1-form from (index, CScalar) pairs."""
+    return Multivector({mask_of((i,)): complexify(c) for i, c in pairs})
+
+
+@lru_cache(maxsize=None)
+def roots(kind):
+    e = Multivector.blade
+    one, i_ = ONE, I
+    if kind == "PSU3":
+        rho = canonical_rho()
+        torus = {
+            "x3": e(3).contract(rho),
+            "x8": e(8).contract(rho),
+        }
+        wv = {
+            "alpha1": _cvec((4, one), (5, -i_)),
+            "alpha2": _cvec((6, one), (7, i_)),
+            "alpha1+alpha2": _cvec((1, one), (2, -i_)),
+        }
+        # E_1=e5, F_1=-e4; E_2=-e6, F_2=e7; E_3=e1, F_3=e2
+        extras = {
+            "E": (e(5), -e(6), e(1)),
+            "F": (-e(4), e(7), e(2)),
+            "lambda": (
+                (e(3) + SQRT3 * e(8)) * quarter(),
+                (e(3) - SQRT3 * e(8)) * quarter(),
+                e(3) * half(),
+            ),
+        }
+        return RootData(kind, torus, wv, extras)
+    if kind == "SP1SP2":
+        w_i, _, _ = kaehler_forms()
+        torus = {
+            "a1": w_i * half(),
+            "a2": e(1, 2) + e(3, 4) + e(5, 6) + e(7, 8),
+            "a3": e(1, 2) + e(3, 4) - e(5, 6) - e(7, 8),
+        }
+        wv = {
+            "(a+b1)/2": _cvec((5, one), (6, -i_)),
+            "(a-b1)/2": _cvec((7, one), (8, i_)),
+            "(a+b1)/2+b2": _cvec((1, one), (2, -i_)),
+            "(a-b1)/2-b2": _cvec((3, one), (4, i_)),
+        }
+        return RootData(kind, torus, wv, {})
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def su2_triple_check():
