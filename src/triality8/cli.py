@@ -100,10 +100,22 @@ def cmd_classify(args, out):
         "params": [str(p) for p in oc.params] if oc.params else None,
         "norm2": str(form.norm2()),
         "jacobi_obstruction": str(orb.jac(form, form)),
+        "witness": _witness_json(orb.supersymmetry_witness(form)),
     }
     json.dump(rep, out, indent=2)
     out.write("\n")
     return 0
+
+
+def _witness_json(witness):
+    """Why a form is not supersymmetric, with exact values as text; None
+    for a supersymmetric form."""
+    if witness is None:
+        return None
+    out = {key: None if v is None else str(v) for key, v in witness.items()}
+    if "class" in witness:
+        out["class"] = list(witness["class"])
+    return out
 
 
 _EXAMPLE_CHECKS = ("harmonic", "torsion", "ricci", "classify")

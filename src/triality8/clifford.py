@@ -14,14 +14,12 @@ _TABLE as such permutations, and kappa_form adds +-c at one entry per row
 for each term c e_I.  kappa_block fills one 8x8 chirality block of
 kappa(alpha) the same way; an even blade maps each chirality to itself
 and an odd one swaps them, so a term either fills all 8 rows of the
-block or none.  _pair_classes() reads, from the same permutations, how two
+block or none.  _pair_classes() derives, from the index pattern, how two
 3-blades combine in the Gram matrix of that block (orbits.is_supersymmetric).
 Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from . import linalg as la
 from .exterior import Multivector, blades_of_grade, indices_of
@@ -286,20 +284,41 @@ def _pair_classes():
       3. Id, S_1, ..., S_35 are linearly independent (rank 36).
     Returns {(I << 8) | J: (K, sign)} for both orders of every pair of
     3-blade masks sharing one index, with K the smaller mask of the pair
-    {K, K^c} and Q_IJ = 2 sign S_K.  S_K is the D- -> D- block of
-    kappa(e_K); the sign is read from row 0 of B_I and B_J (by fact 2 one
-    row fixes the whole product).  Built on first use.
+    {K, K^c} and Q_IJ = 2 sign S_K, S_K the D- -> D- block of kappa(e_K).
+    Built on first use from the index pattern, without the blades.
+    kappa(e_I) is symmetric for a 3-blade, so B_I^T B_J is the D- -> D-
+    block of kappa(e_I e_J), and e_I e_J = e_J e_I = eps e_{I xor J} with
+    eps = -(-1)^#{a in I, b in J: a > b}, the shared e_r squaring to -1.
+    When I xor J is the larger mask of its pair, e_{I xor J} = tau e_K vol
+    with e_K e_{I xor J} = tau vol, tau = (-1)^(sum of the indices of K),
+    and kappa(vol) = chi diag(Id, -Id), with chi read from the octonion
+    table as row 0 of the product of the eight generators; the sign is
+    then -eps tau chi.
     """
     if not _PAIR_CLASSES:
-        for m, n in combinations(blades_of_grade(3), 2):
-            shared = m & n
-            if not shared or shared & (shared - 1):
-                continue
-            a, s = _blade(m)[0]
-            k = min(m ^ n, 255 ^ m ^ n)
-            # row 0 of B_I^T B_J against row a - 8 of S_K
-            sign = s * _blade(n)[0][1] * _blade(k)[a][1]
-            _PAIR_CLASSES[m << 8 | n] = _PAIR_CLASSES[n << 8 | m] = (k, sign)
+        row, chi = 0, 1
+        for i in range(1, 9):
+            row, s = _GENERATORS[i][row]
+            chi *= s
+        # the 4-set I xor J -> (K, the sign that turns eps into the class sign)
+        to_class = {}
+        for k in blades_of_grade(4):
+            if k < 255 ^ k:
+                to_class[k] = (k, 1)
+                to_class[255 ^ k] = (k, chi if sum(indices_of(k)) % 2 else -chi)
+        threes = blades_of_grade(3)
+        for x, m in enumerate(threes):
+            # bits b of the indices below an odd number of indices of m,
+            # so that (-1)^#{a in m, b in n: a > b} = (-1)^|above & n|
+            lo, mid, hi = indices_of(m)
+            above = (1 << lo - 1) - 1 | (1 << hi - 1) - (1 << mid - 1)
+            for n in threes[x + 1:]:
+                shared = m & n
+                if not shared or shared & (shared - 1):
+                    continue
+                k, t = to_class[m ^ n]
+                sign = t if (above & n).bit_count() % 2 else -t
+                _PAIR_CLASSES[m << 8 | n] = _PAIR_CLASSES[n << 8 | m] = (k, sign)
     return _PAIR_CLASSES
 
 

@@ -43,6 +43,19 @@ def blades_of_grade(k):
     return [m for m in range(1 << N) if grade(m) == k]
 
 
+def _grade_masks():
+    """{k: the blade masks of grade k} for k = 0..N, in one pass."""
+    by_grade = [[] for _ in range(N + 1)]
+    for m in range(1 << N):
+        by_grade[grade(m)].append(m)
+    return {k: frozenset(masks) for k, masks in enumerate(by_grade)}
+
+
+# for subset tests of a form's terms
+GRADE_MASKS = _grade_masks()
+_NO_MASKS = frozenset()
+
+
 def _wedge_sign(m1, m2):
     # (-1)^{#{(a,b): a in m1, b in m2, a > b}}
     count = 0
@@ -85,10 +98,9 @@ class Multivector(Frozen):
         return sorted({grade(m) for m in self.terms})
 
     def is_homogeneous(self, k=None):
-        gs = self.grades()
         if k is None:
-            return len(gs) <= 1
-        return gs == [] or gs == [k]
+            return len(self.grades()) <= 1
+        return self.terms.keys() <= GRADE_MASKS.get(k, _NO_MASKS)
 
     def coeff(self, *indices):
         return self.terms.get(mask_of(indices), ZERO)

@@ -9,15 +9,18 @@ center dimension of the extracted bracket.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from . import linalg as la
 from .clifford import SpinorMap, _pair_classes, form_to_map, kappa_block
-from .exterior import Multivector, indices_of, mask_of
-from .scalars import Frozen, Scalar
+from .exterior import GRADE_MASKS, Multivector, indices_of, mask_of
+from .scalars import CScalar, Frozen, Scalar
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+_GRADE3 = GRADE_MASKS[3]
 
 
 class OrbitError(ValueError):
@@ -96,9 +99,89 @@ def gamma(rho, tau, chirality):
     return SpinorMap._own(M, chirality, chirality)
 
 
+def _unpack(v, width):
+    """The parts (re, re r3, im, im r3), as ints, of a sum v of products of
+    packed numerators: v = sum s_j 2^(width j) with signed slots s_j,
+    |s_j| < 2^(width - 1), where slot u + 3 w holds the coefficient of
+    r3^u i^w, and r3^2 = 3, i^2 = -1."""
+    half = 1 << width - 1
+    if -half <= v < half:
+        return v, 0, 0, 0
+    s = [0] * 9
+    mask = (1 << width) - 1
+    j = 0
+    while v:
+        t = ((v & mask) ^ half) - half
+        s[j] = t
+        v = (v - t) >> width
+        j += 1
+    return s[0] + 3 * s[2] - s[6] - 3 * s[8], s[1] - s[7], s[3] + 3 * s[5], s[4]
+
+
+def _susy_pass(rho):
+    """None when rho is supersymmetric, else the integer evidence against
+    it, (L, norm, K, parts): the parts of L^2 sum c_I^2 when that sum is
+    not 1, and the smallest class mask K whose signed sum is not zero with
+    the parts of L^2 times that sum; each None when it holds.
+
+    Every coefficient is read as (a + b r3 + (x + y r3) i)/L over one
+    common denominator L and packed into one int
+    a + b 2^W + x 2^(3W) + y 2^(4W), so that the product of two packed
+    numerators carries the 9 coefficients of r3^u i^w (u, w <= 2) in W-bit
+    slots: one integer multiply per pair of terms.  Then sum c_I^2 = 1 is
+    sum num_I^2 = L^2 and each class of clifford._pair_classes sums signed
+    integer products; see is_supersymmetric.
+    """
+    terms = rho.terms
+    if not terms.keys() <= _GRADE3:
+        raise OrbitError("expected a 3-form")
+    nums = [c.numerators() for c in terms.values()]
+    L = 1
+    top = 0
+    for a, b, x, y, d in nums:
+        if L % d:
+            L = L * d // gcd(L, d)
+        t = a * a + b * b + x * x + y * y
+        if t > top:
+            top = t
+    # a part over L is at most L sqrt(top); a slot sums at most 4 products
+    # of parts in each of at most 56 squares or 24 pairs (the pairs of one
+    # class), so |slot| < 2^8 top L^2 < 2^(width - 2)
+    width = (top * L * L).bit_length() + 10
+    w3 = 3 * width
+    packed = []
+    squares = 0
+    for m, (a, b, x, y, d) in zip(terms, nums):
+        v = (a + (b << width) + (x << w3) + (y << w3 + width)) * (L // d)
+        packed.append((m, v))
+        squares += v * v
+    norm = _unpack(squares, width)
+    if norm == (L * L, 0, 0, 0):
+        norm = None
+    classes = _pair_classes()
+    sums = {}
+    for at, (m, v) in enumerate(packed):
+        m <<= 8
+        for n, w in packed[at + 1:]:
+            hit = classes.get(m | n)
+            if hit is not None:
+                k, sign = hit
+                sums[k] = sums.get(k, 0) + sign * v * w
+    bad = None
+    for k, v in sums.items():
+        if v and (bad is None or k < bad):
+            parts = _unpack(v, width)
+            if parts != (0, 0, 0, 0):
+                bad, bad_parts = k, parts
+    if bad is not None:
+        return L, norm, bad, bad_parts
+    return None if norm is None else (L, norm, None, None)
+
+
 def is_supersymmetric(rho):
     """True iff the induced map M: D- -> D+ is an isometry, M^T M = Id,
-    decided from pairs of terms without building M.
+    decided from pairs of terms in one pass over integer numerators,
+    without building M or any Scalar.
 
     For rho = sum c_I e_I, M^T M = (sum c_I^2) Id + sum_{I<J} c_I c_J Q_IJ,
     where Q_IJ = +-2 S_K is nonzero only for blades sharing one index and
@@ -107,26 +190,44 @@ def is_supersymmetric(rho):
     so M^T M = Id exactly when sum c_I^2 = 1 and, in every class, the
     signed sum of the c_I c_J vanishes.  Work is O(t^2) on t terms.
     """
-    if not rho.is_homogeneous(3):
-        raise OrbitError("expected a 3-form")
-    if rho.norm2() != ONE:
-        return False
-    terms = list(rho.terms.items())
-    classes = _pair_classes()
-    sums = {}
-    for a, (m, c) in enumerate(terms):
-        m <<= 8
-        for n, d in terms[a + 1:]:
-            hit = classes.get(m | n)
-            if hit is not None:
-                k, sign = hit
-                p = c * d
-                acc = sums.get(k)
-                if acc is None:
-                    sums[k] = p if sign > 0 else -p
-                else:
-                    sums[k] = acc + p if sign > 0 else acc - p
-    return not any(sums.values())
+    return _susy_pass(rho) is None
+
+
+def supersymmetry_witness(rho):
+    """None when rho is supersymmetric; else why not, as a dict, from the
+    same pass as is_supersymmetric.
+
+    When sum c_I^2 is not 1 it holds "norm2", that sum, and "unit_scale",
+    1/sqrt(norm2), the scale that would make rho unit, or None when the
+    square root is not in Q(r3).  When a class sum is not zero it holds
+    "class", the indices of the smallest class mask K whose signed sum of
+    products c_I c_J is not zero, and "sum", that sum s: the Gram matrix
+    is M^T M = norm2 Id + 2 s S_K + (the other classes).
+    """
+    evidence = _susy_pass(rho)
+    if evidence is None:
+        return None
+    L, norm, k, parts = evidence
+    witness = {}
+    if norm is not None:
+        norm2 = _field_value(norm, L * L)
+        root = norm2.sqrt() if type(norm2) is Scalar and norm2 else None
+        witness["norm2"] = norm2
+        witness["unit_scale"] = None if root is None else root.inverse()
+    if k is not None:
+        witness["class"] = indices_of(k)
+        witness["sum"] = _field_value(parts, L * L)
+    return witness
+
+
+def _field_value(parts, den):
+    """(re + re' r3 + (im + im' r3) i)/den as a Scalar, or a CScalar when
+    its imaginary part is not zero."""
+    re, re3, im, im3 = parts
+    value = Scalar(Fraction(re, den), Fraction(re3, den))
+    if im or im3:
+        return CScalar(value, Scalar(Fraction(im, den), Fraction(im3, den)))
+    return value
 
 
 class BracketTable(Frozen):
@@ -289,6 +390,9 @@ class OrbitClass(Frozen):
         return "OrbitClass(" + ", ".join(bits) + ")"
 
 
+_NOT_SUPERSYMMETRIC = OrbitClass("NotSupersymmetric")
+
+
 def _l2_params(b):
     """Squared norms of the restriction to the two su(2) ideals.
 
@@ -311,8 +415,8 @@ def _l2_params(b):
 
 
 def orbit_classify(rho):
-    if not is_supersymmetric(rho):  # raises OrbitError unless a 3-form
-        return OrbitClass("NotSupersymmetric")
+    if _susy_pass(rho) is not None:  # raises OrbitError unless a 3-form
+        return _NOT_SUPERSYMMETRIC
     orientation = "preserving" if form_to_map(rho).det() == ONE else "reversing"
     b = bracket_from_form(rho)
     center_dim, _, _ = lie_classify(b)

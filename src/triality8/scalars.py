@@ -83,6 +83,11 @@ class Scalar(Frozen):
     def b(self):
         return _Rational(self.q, self.d)
 
+    def numerators(self):
+        """(a, b, x, y, L): the value as (a + b r3 + (x + y r3) i)/L with
+        ints a, b, x, y and L > 0; a Scalar has x = y = 0."""
+        return self.p, self.q, 0, 0, self.d
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -325,6 +330,17 @@ class CScalar(Frozen):
         return _cnew(self.re * o, self.im * o)
 
     __rmul__ = __mul__
+
+    def numerators(self):
+        """(a, b, x, y, L): the value as (a + b r3 + (x + y r3) i)/L with
+        ints a, b, x, y and L > 0 the lcm of the two parts' denominators."""
+        re, im = self.re, self.im
+        d, e = re.d, im.d
+        if d == e:
+            return re.p, re.q, im.p, im.q, d
+        L = d * e // gcd(d, e)
+        f, g = L // d, L // e
+        return re.p * f, re.q * f, im.p * g, im.q * g, L
 
     def conj(self):
         """Complex conjugate re - im*i."""

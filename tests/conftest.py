@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from triality8.exterior import Multivector
+
+# In CI a failing property example prints the blob that reproduces it
+# (@reproduce_failure); example counts and deadlines stay the defaults.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 from triality8.structures import canonical_omega, canonical_rho
 
 

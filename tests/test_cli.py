@@ -68,6 +68,7 @@ def test_classify(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["kind"] == "L3_sp1sp2"
     assert rep["orientation"] == "preserving"
+    assert rep["witness"] is None
 
     f.write_text("e123 + e145")
     rc, out, _ = run(capsys, "classify", str(f))
@@ -75,6 +76,22 @@ def test_classify(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["kind"] == "NotSupersymmetric"
     assert rep["jacobi_obstruction"] != "0"
+    assert rep["witness"] == {"norm2": "2", "unit_scale": None,
+                              "class": [2, 3, 4, 5], "sum": "-1"}
+
+    # a failing verdict names its witness: the norm and the scale that
+    # would make the form unit, or the smallest class whose sum is not zero
+    for text, witness in (
+        ("2 e123", {"norm2": "4", "unit_scale": "1/2"}),
+        ("e123 + e456", {"norm2": "2", "unit_scale": None}),
+        ("3/5 e123 + 4/5 e145", {"class": [2, 3, 4, 5], "sum": "-12/25"}),
+        ("1/2 r3 e123 + 1/2 e145", {"class": [2, 3, 4, 5], "sum": "-1/4 r3"}),
+    ):
+        f.write_text(text)
+        rc, out, _ = run(capsys, "classify", str(f))
+        rep = json.loads(out)
+        assert rc == 0 and rep["kind"] == "NotSupersymmetric"
+        assert rep["witness"] == witness
 
     f.write_text("e12 + zz")
     rc, _, err = run(capsys, "classify", str(f))

@@ -8,6 +8,7 @@ from triality8.claims.clifford_model import _KAPPA_TABLE
 from triality8.claims.orbit import _pythagorean_rotation, _random_unit_3form
 from triality8.claims.rho_map import _RHOMAP_TIMES_4, _scal
 from triality8.clifford import (
+    _blade,
     _oct_mul_raw,
     _pair_classes,
     Spinor,
@@ -118,6 +119,35 @@ def _is_signed_permutation(A):
         and sorted(c for _, c, _ in nonzero) == list(range(8))
         and all(x in (ONE, -ONE) for _, _, x in nonzero)
     )
+
+
+def _pair_classes_from_blades():
+    """The table of _pair_classes read from the blade permutations: the
+    class sign from row 0 of B_I^T B_J against row a - 8 of S_K, where row
+    0 of kappa(e_I) has its entry in column a (by fact 2 one row fixes the
+    whole product).  The oracle for the table built from index patterns."""
+    table = {}
+    for m, n in combinations(blades_of_grade(3), 2):
+        shared = m & n
+        if not shared or shared & (shared - 1):
+            continue
+        a, s = _blade(m)[0]
+        k = min(m ^ n, 255 ^ m ^ n)
+        sign = s * _blade(n)[0][1] * _blade(k)[a][1]
+        table[m << 8 | n] = table[n << 8 | m] = (k, sign)
+    return table
+
+
+def test_pair_classes_match_blade_oracle():
+    """Entry for entry, and 24 pairs of 3-blades in each of the 35 classes
+    (the bound behind the slot width of orbits._susy_pass)."""
+    table = _pair_classes()
+    assert table == _pair_classes_from_blades()
+    per_class = {}
+    for key, (k, _) in table.items():
+        if key >> 8 < key & 255:
+            per_class[k] = per_class.get(k, 0) + 1
+    assert len(per_class) == 35 and set(per_class.values()) == {24}
 
 
 def test_pair_classes_facts():

@@ -51,6 +51,18 @@ def test_blade_basics():
     assert len(blades_of_grade(4)) == 70
 
 
+def test_is_homogeneous_by_grade_masks():
+    mixed = e(1, 2, 3) + e(1, 2)
+    for k in (-1, 0, 2, 3, 8, 9):
+        assert Multivector.zero().is_homogeneous(k)
+        assert e(1, 2, 3).is_homogeneous(k) == (k == 3)
+        assert not mixed.is_homogeneous(k)
+    assert Multivector.scalar(ONE).is_homogeneous(0)
+    assert e(*range(1, 9)).is_homogeneous(8)
+    assert Multivector.zero().is_homogeneous() and e(1, 2).is_homogeneous()
+    assert not mixed.is_homogeneous() and mixed.grades() == [2, 3]
+
+
 @given(forms(2), forms(2), forms(3))
 def test_wedge_bilinear_graded(a, b, c):
     assert (a + b) ^ c == (a ^ c) + (b ^ c)

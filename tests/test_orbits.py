@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as hs
 from triality8 import linalg as la
 from triality8.claims.orbit import _pythagorean_rotation, _random_unit_3form
 from triality8.clifford import block, form_to_map, kappa_form
-from triality8.exterior import Multivector, apply_linear, blades_of_grade, mask_of
+from triality8.exterior import (
+    Multivector, apply_linear, blades_of_grade, indices_of, mask_of,
+)
 from triality8.orbits import (
     _TRIPLES,
     OrbitClass,
@@ -19,6 +21,7 @@ from triality8.orbits import (
     jac,
     lie_classify,
     orbit_classify,
+    supersymmetry_witness,
 )
 from triality8.scalars import I, ONE, SQRT3, ZERO, Scalar, half
 from triality8.structures import canonical_rho
@@ -153,6 +156,12 @@ _UNIT_PATTERNS = (
 )
 _COMPLEX_PATTERNS = ((Scalar(2), I * SQRT3), (Scalar(5) / 4, I * 3 / 4),
                      (Scalar(5) / 4, I * 3 / 8, I * 3 / 8, I * 3 / 8, I * 3 / 8))
+# denominators 5 and 2 in one form, and in one complex coefficient: the
+# first pattern is not unit, the other two are (c^2 + (i c)^2 = 0 for the
+# last two coefficients of the third)
+_MIXED_PATTERNS = ((Scalar(3) / 5, SQRT3 * half()),
+                   (SQRT3 * 3 / 10, SQRT3 * 2 / 5, half()),
+                   (ONE, Scalar(3) / 5 + I * SQRT3 * half(), SQRT3 * half() - I * 3 / 5))
 # (cos, sin) with cos^2 + sin^2 = 1: Pythagorean angles, then complex ones
 _ANGLES = ((Scalar(3) / 5, Scalar(4) / 5), (Scalar(5) / 13, Scalar(-12) / 13),
            (Scalar(20) / 29, Scalar(21) / 29), (Scalar(5) / 4, I * 3 / 4),
@@ -164,8 +173,9 @@ _MODELS = (canonical_rho(), e(1, 2, 3), e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 
 @hs.composite
 def three_forms(draw):
     """Unit, sparse integer, non-unit, rotated (real and complex
-    rotations) and complex 3-forms."""
-    kind = draw(hs.sampled_from(("unit", "sparse", "nonunit", "rotated", "complex")))
+    rotations), complex and mixed-denominator 3-forms."""
+    kind = draw(hs.sampled_from(("unit", "sparse", "nonunit", "rotated", "complex",
+                                 "mixed")))
     if kind == "sparse":
         terms = draw(hs.dictionaries(hs.sampled_from(_THREES),
                                      hs.integers(-3, 3).map(Scalar), max_size=6))
@@ -176,7 +186,8 @@ def three_forms(draw):
             i, j = draw(hs.lists(hs.integers(0, 7), min_size=2, max_size=2, unique=True))
             M = la.mat_mul(M, _givens(i, j, *draw(hs.sampled_from(_ANGLES))))
         return apply_linear(M, draw(hs.sampled_from(_MODELS)))
-    pattern = draw(hs.sampled_from(_COMPLEX_PATTERNS if kind == "complex" else _UNIT_PATTERNS))
+    pattern = draw(hs.sampled_from({"complex": _COMPLEX_PATTERNS,
+                                    "mixed": _MIXED_PATTERNS}.get(kind, _UNIT_PATTERNS)))
     masks = draw(hs.lists(hs.sampled_from(_THREES), min_size=len(pattern),
                           max_size=len(pattern), unique=True))
     f = Multivector(dict(zip(masks, pattern)))
@@ -189,6 +200,79 @@ def three_forms(draw):
 @given(three_forms())
 def test_is_supersymmetric_matches_dense_oracle(f):
     assert is_supersymmetric(f) == _isometry_dense(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(three_forms())
+def test_witness_is_none_exactly_when_dense_oracle_holds(f):
+    witness = supersymmetry_witness(f)
+    assert (witness is None) == _isometry_dense(f)
+    if witness is not None and "norm2" in witness:
+        assert witness["norm2"] == f.norm2() != ONE
+        scale = witness["unit_scale"]
+        assert scale is None or scale * scale * witness["norm2"] == ONE
+
+
+def _gram_coordinates(f):
+    """(n, {K: s_K}) with M^T M = n Id + sum_K 2 s_K S_K for the dense block
+    M of f, solved from the 64 entries: the oracle for the witness.  S_K is
+    the D- -> D- block of kappa(e_K), K the smaller mask of {K, K^c}."""
+    ks = sorted(k for k in blades_of_grade(4) if k < 255 ^ k)
+    basis = [la.identity(8)]
+    basis += [la.mat_scale(block(kappa_form(Multivector({k: ONE})), "-", "-"), Scalar(2))
+              for k in ks]
+    M = form_to_map(f).matrix
+    G = la.mat_mul(la.transpose(M), M)
+    A = [[B[r][c] for B in basis] for r in range(8) for c in range(8)]
+    x = la.solve(A, [G[r][c] for r in range(8) for c in range(8)])
+    return x[0], dict(zip(ks, x[1:]))
+
+
+def test_witness_matches_gram_coordinates(rho):
+    """The witness's norm2, class and sum are the coordinates of M^T M in
+    the basis Id, 2 S_K, and its class is the smallest failing one."""
+    rng = random.Random(37)
+    forms = [rho, rho * 2, rho.complexify(), rho.complexify() * I, e(1, 2, 3) * 2,
+             e(1, 2, 3) + e(4, 5, 6), e(1, 2, 3) + e(1, 4, 5), Multivector.zero(),
+             e(1, 2, 3) * (Scalar(3) / 5) + e(1, 4, 5) * (Scalar(4) / 5)]
+    forms += [_random_unit_3form(rng) for _ in range(12)]
+    forms += [rand3(rng, rng.randint(1, 6)) for _ in range(8)]
+    forms += [Multivector(dict(zip(rng.sample(_THREES, len(p)), p)))
+              for p in _COMPLEX_PATTERNS + _MIXED_PATTERNS for _ in range(3)]
+    forms += [apply_linear(_givens(0, 5, Scalar(5) / 4, I * 3 / 4), m) for m in _MODELS]
+    seen = set()
+    for f in forms:
+        n, coords = _gram_coordinates(f)
+        failing = sorted(k for k, s in coords.items() if s)
+        witness = supersymmetry_witness(f)
+        if n == ONE and not failing:
+            assert witness is None
+            continue
+        assert ("norm2" in witness) == (n != ONE)
+        if n != ONE:
+            assert witness["norm2"] == n
+            root = witness["unit_scale"]
+            if isinstance(n, Scalar) and n.sqrt():
+                assert root == n.sqrt().inverse()
+            else:
+                assert root is None
+        assert ("class" in witness) == bool(failing)
+        if failing:
+            assert witness["class"] == indices_of(failing[0])
+            assert witness["sum"] == coords[failing[0]]
+        seen.add(tuple(sorted(witness)))
+    assert seen == {("class", "sum"), ("norm2", "unit_scale"),
+                    ("class", "norm2", "sum", "unit_scale")}
+
+
+def test_complex_forms_classify(rho):
+    z = rho.complexify()
+    assert z.is_complex()
+    assert orbit_classify(z) == OrbitClass("L1_psu3", "reversing")
+    assert supersymmetry_witness(z) is None
+    for bad in (z * 2, z * I, z * (ONE + I)):
+        assert orbit_classify(bad) == OrbitClass("NotSupersymmetric")
+        assert "norm2" in supersymmetry_witness(bad)
 
 
 def test_is_supersymmetric_sweep_matches_dense_oracle():
