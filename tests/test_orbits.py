@@ -23,7 +23,7 @@ from triality8.orbits import (
     orbit_classify,
     supersymmetry_witness,
 )
-from triality8.scalars import I, ONE, SQRT3, ZERO, Scalar, half
+from triality8.scalars import I, ONE, SQRT3, ZERO, CScalar, Scalar, half
 from triality8.structures import canonical_rho
 
 e = Multivector.blade
@@ -225,14 +225,16 @@ def _gram_coordinates(f):
     G = la.mat_mul(la.transpose(M), M)
     A = [[B[r][c] for B in basis] for r in range(8) for c in range(8)]
     x = la.solve(A, [G[r][c] for r in range(8) for c in range(8)])
-    return x[0], dict(zip(ks, x[1:]))
+    n = x[0].re if isinstance(x[0], CScalar) and not x[0].im else x[0]
+    return n, dict(zip(ks, x[1:]))
 
 
 def test_witness_matches_gram_coordinates(rho):
     """The witness's norm2, class and sum are the coordinates of M^T M in
     the basis Id, 2 S_K, and its class is the smallest failing one."""
     rng = random.Random(37)
-    forms = [rho, rho * 2, rho.complexify(), rho.complexify() * I, e(1, 2, 3) * 2,
+    forms = [rho, rho * 2, rho.complexify(), rho.complexify() * I, rho.complexify() * 2,
+             e(1, 2, 3) * 2,
              e(1, 2, 3) + e(4, 5, 6), e(1, 2, 3) + e(1, 4, 5), Multivector.zero(),
              e(1, 2, 3) * (Scalar(3) / 5) + e(1, 4, 5) * (Scalar(4) / 5)]
     forms += [_random_unit_3form(rng) for _ in range(12)]
