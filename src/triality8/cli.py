@@ -82,7 +82,7 @@ def cmd_classify(args, out):
         print(f"cannot read {args.file}: {err}", file=sys.stderr)
         return 2
     try:
-        form = ex.parse_form(text.strip())
+        form = ex.parse_form(text)
     except ex.ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -142,7 +142,7 @@ def _example_one(F, kind, expected, check):
         }
     if check == "torsion":
         T = fr.intrinsic_torsion(F, kind)
-        gamma = to.gkind(kind).gamma
+        gamma, _ = st.invariant_form(kind)
         rep = {
             "status": "ok",
             "nonzero": not T.is_zero(),

@@ -7,7 +7,7 @@ positive volume form.
 
 from __future__ import annotations
 
-from .scalars import CScalar, Frozen, ParseError, Scalar, parse_scalar
+from .scalars import CScalar, Frozen, ParseError, Scalar, _join, _Reader, _signed_terms
 
 N = 8
 VOLUME = (1 << N) - 1
@@ -346,132 +346,53 @@ def from_vector(vec, basis_masks):
 
 # -- form-file grammar -----------------------------------------------------
 #
-# form  ::= term (ws ('+'|'-') ws term)*
-# term  ::= (scalar ws '*'? ws)? blade
-# blade ::= 'e' digit+
+# The tokens, term and scalar rules are those of scalars.py:
+#
+# form  ::= ('+'|'-')? fterm (('+'|'-') fterm)*
+# fterm ::= (coeff '*'?)? blade | coeff
+# coeff ::= '(' scalar ')' | term
 
 
 def parse_form(text):
-    import re
-
-    blade_re = re.compile(r"e([1-8]+)")
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p):
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    result = Multivector.zero()
-    pos = skip_ws(pos)
-    if pos == n:
+    reader = _Reader(text)
+    if not reader.kind:
         raise ParseError("empty form", 0)
-    if text.strip() == "0":
-        return result
-
-    def read_blade(m):
-        digits = [int(d) for d in m.group(1)]
-        if any(b <= a for a, b in zip(digits, digits[1:])):
-            raise ParseError("blade indices must be strictly increasing", m.start())
-        return mask_of(digits)
-
-    first = True
-    while pos < n:
-        sign = 1
-        if text[pos] == "+":
-            pos = skip_ws(pos + 1)
-        elif text[pos] == "-":
-            sign = -1
-            pos = skip_ws(pos + 1)
-        elif not first:
-            raise ParseError("expected '+' or '-'", pos)
-        if pos < n and text[pos] == "(":
-            close = text.find(")", pos)
-            if close < 0:
-                raise ParseError("unbalanced '('", pos)
-            try:
-                coeff = parse_scalar(text[pos + 1 : close])
-            except ParseError as exc:
-                raise ParseError(f"bad coefficient {text[pos + 1:close]!r}", pos) from exc
-            pos = skip_ws(close + 1)
-            if pos < n and text[pos] == "*":
-                pos = skip_ws(pos + 1)
-            m = blade_re.match(text, pos)
-            if m is not None:
-                mask = read_blade(m)
-                pos = skip_ws(m.end())
-            else:
-                mask = 0
+    result = Multivector.zero()
+    sign = reader.sign() or 1
+    while sign:
+        if reader.take("("):
+            coeff = reader.scalar()
+            if not reader.take(")"):
+                raise ParseError("expected ')'", reader.at)
+        elif reader.kind == "blade":
+            coeff = ONE
         else:
-            # the term runs to the next top-level '+'/'-' separator
-            sep, started = n, False
-            p = pos
-            while p < n:
-                ch = text[p]
-                if ch in "+-" and started:
-                    sep = p
-                    break
-                if not ch.isspace():
-                    started = True
-                p += 1
-            m = blade_re.search(text, pos, sep)
-            if m is not None:
-                coeff_txt = text[pos : m.start()].strip()
-                if coeff_txt.endswith("*"):
-                    coeff_txt = coeff_txt[:-1].strip()
-                if coeff_txt:
-                    try:
-                        coeff = parse_scalar(coeff_txt)
-                    except ParseError as exc:
-                        raise ParseError(
-                            f"bad coefficient {coeff_txt!r}", pos
-                        ) from exc
-                else:
-                    coeff = ONE
-                mask = read_blade(m)
-                pos = skip_ws(m.end())
-            else:
-                coeff_txt = text[pos:sep].strip()
-                if not coeff_txt:
-                    raise ParseError("expected blade like e123", pos)
-                try:
-                    coeff = parse_scalar(coeff_txt)
-                except ParseError as exc:
-                    raise ParseError(f"bad term {coeff_txt!r}", pos) from exc
-                mask = 0
-                pos = skip_ws(sep)
-        if sign < 0:
-            coeff = -coeff
-        result = result + Multivector({mask: coeff})
-        first = False
+            coeff = reader.term()
+        if reader.take("*") and reader.kind != "blade":
+            raise ParseError("expected blade like e123", reader.at)
+        mask = 0
+        if reader.kind == "blade":
+            digits = [int(d) for d in reader.value]
+            if any(b <= a for a, b in zip(digits, digits[1:])):
+                raise ParseError("blade indices must be strictly increasing", reader.at)
+            mask = mask_of(digits)
+            reader.next()
+        result = result + Multivector({mask: coeff if sign > 0 else -coeff})
+        sign = reader.sign()
+    if reader.kind:
+        raise ParseError("expected '+' or '-'", reader.at)
     return result
 
 
 def format_form(mv):
-    from .scalars import format_scalar
-
-    if mv.is_zero():
-        return "0"
-    parts = []
+    terms = []
     for m in sorted(mv.terms, key=lambda m: (grade(m), indices_of(m))):
-        c = mv.terms[m]
-        blade = "e" + "".join(str(i) for i in indices_of(m)) if m else ""
-        txt = format_scalar(c)
-        if blade:
-            if txt == "1":
-                body = blade
-            elif txt == "-1":
-                body = f"-{blade}"
-            else:
-                body = f"({txt}) {blade}" if ("+" in txt[1:] or "- " in txt) else f"{txt} {blade}"
-        else:
-            body = f"({txt})" if ("+" in txt[1:] or "- " in txt) else txt
-        parts.append(body)
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+        coeff = _signed_terms(mv.terms[m])
+        if len(coeff) > 1:
+            coeff = [(False, f"({_join(coeff)})")]
+        [(negative, text)] = coeff
+        if m:
+            blade = "e" + "".join(str(i) for i in indices_of(m))
+            text = blade if text == "1" else f"{text} {blade}"
+        terms.append((negative, text))
+    return _join(terms)

@@ -18,7 +18,7 @@ from .clifford import Spinor, kappa_block
 from .exterior import Multivector, antiderivation, indices_of, mask_of
 from .orbits import bracket_from_form
 from .scalars import Frozen, Scalar, half
-from .structures import canonical_rho, sigma_canonical
+from .structures import canonical_rho, invariant_form, sigma_canonical
 from .torsion import TorsionTensor, _form_action, gkind
 
 ZERO = Scalar(0)
@@ -180,7 +180,7 @@ def ricci(F):
 
 def harmonic_check(F, kind):
     """(d gamma = 0, d * gamma = 0) for the canonical invariant form."""
-    gamma = gkind(kind).gamma
+    gamma, _ = invariant_form(kind)
     return (
         coframe_d(gamma, F).is_zero(),
         coframe_d(gamma.star(), F).is_zero(),

@@ -7,6 +7,7 @@ the exact kernel/rank computations elsewhere rely on.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -427,9 +428,15 @@ def complexify(s):
 
 # -- parsing / printing ---------------------------------------------------
 #
-# scalar ::= term | term ws ('+'|'-') ws term
-# term   ::= sign? rational ws? 'r3'? ws? 'i'?
-# rational ::= integer ('/' positive-integer)?
+# One grammar reads scalars here and the form files of exterior.parse_form,
+# with whitespace allowed between any two tokens:
+#
+# token    ::= rational | 'r3' | 'i' | 'e' [1-8]+ | '+' | '-' | '*' | '(' | ')'
+# rational ::= digit+ ('/' digit+)?
+# term     ::= ('+'|'-')? rational 'r3'? 'i'?
+# scalar   ::= term (('+'|'-') term)*
+
+_TOKEN = re.compile(r"\s*((\d+)(?:/(\d+))?|e([1-8]+)|r3|i|[-+*()]|\S)")
 
 
 class ParseError(ValueError):
@@ -438,98 +445,99 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+class _Reader:
+    """The tokens of one text, read left to right by the grammar rules.
+
+    The current token is ``kind`` at offset ``at``: 'rational' (``value``
+    its numerator and denominator texts), 'blade' (``value`` its digits),
+    the token text itself for the other tokens and for a character outside
+    the grammar, which no rule accepts, and '' at the end of the text.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.next()
+
+    def next(self):
+        m = _TOKEN.match(self.text, self.pos)
+        if m is None:  # only whitespace is left
+            self.kind, self.at = "", len(self.text)
+            return
+        token, num, den, blade = m.groups()
+        self.kind = "rational" if num else "blade" if blade else token
+        self.value = (num, den) if num else blade
+        self.at = m.start(1)
+        self.pos = m.end()
+
+    def take(self, kind):
+        """Step past the current token if it is of this kind."""
+        if self.kind == kind:
+            self.next()
+            return True
+        return False
+
+    def sign(self):
+        """-1 or 1 past a '-' or '+', else 0."""
+        if self.take("-"):
+            return -1
+        return 1 if self.take("+") else 0
+
+    def term(self):
+        """The term rule, as a Scalar, or a CScalar if it has an i."""
+        at = self.at
+        negative = self.sign() < 0
+        if self.kind != "rational":
+            raise ParseError("expected rational term", at)
+        n, d = int(self.value[0]), int(self.value[1] or 1)
+        if not d:
+            raise ParseError("zero denominator", at)
+        self.next()
+        q = _Rational(-n if negative else n, d)
+        value = Scalar(0, q) if self.take("r3") else Scalar(q)
+        return CScalar(ZERO, value) if self.take("i") else value
+
+    def scalar(self):
+        """The scalar rule, as a CScalar if any term has an i."""
+        value = self.term()
+        sign = self.sign()
+        while sign:
+            value = value + self.term() if sign > 0 else value - self.term()
+            sign = self.sign()
+        return value
+
+
 def parse_scalar(text):
     """Parse the scalar grammar; returns Scalar or CScalar."""
-    import re
-
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p):
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    term_re = re.compile(r"([+-]?)\s*(\d+)(?:/(\d+))?\s*(r3)?\s*(i)?")
-
-    terms = []
-    pos = skip_ws(pos)
-    first = True
-    while pos < n:
-        sign = 1
-        if not first:
-            if text[pos] == "+":
-                pos += 1
-            elif text[pos] == "-":
-                sign = -1
-                pos += 1
-            else:
-                raise ParseError("expected '+' or '-'", pos)
-            pos = skip_ws(pos)
-        m = term_re.match(text, pos)
-        if not m or m.start() != pos or not m.group(2):
-            raise ParseError("expected rational term", pos)
-        s, num, den, r3, imag = m.groups()
-        if s == "-":
-            sign = -sign
-        if den is not None and int(den) == 0:
-            raise ParseError("zero denominator", pos)
-        q = _Rational(int(num), int(den) if den else 1)
-        val = Scalar(0, sign * q) if r3 else Scalar(sign * q, 0)
-        terms.append((val, bool(imag)))
-        pos = skip_ws(m.end())
-        first = False
-    if not terms:
+    reader = _Reader(text)
+    if not reader.kind:
         raise ParseError("empty scalar", 0)
-
-    re_part, im_part = Scalar(0), Scalar(0)
-    for val, imag in terms:
-        if imag:
-            im_part = im_part + val
-        else:
-            re_part = re_part + val
-    if im_part.is_zero() and not any(imag for _, imag in terms):
-        return re_part
-    return CScalar(re_part, im_part)
+    value = reader.scalar()
+    if reader.kind:
+        raise ParseError("expected '+' or '-'", reader.at)
+    return value
 
 
-def _format_real(s, force_sign=False):
-    parts = []
-    for coeff, suffix in ((s.a, ""), (s.b, " r3")):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
-        parts.append((sign, f"{mag}{suffix}"))
-    if not parts:
-        return "+0" if force_sign else "0"
-    out = []
-    for k, (sign, body) in enumerate(parts):
-        if k == 0 and sign == "+" and not force_sign:
-            out.append(body)
-        else:
-            out.append(f"{sign} {body}" if k > 0 else f"{sign}{body}")
-    return " ".join(out)
+def _signed_terms(s):
+    """The nonzero terms of a Scalar or CScalar in print order, as
+    (negative, text of the magnitude) pairs."""
+    if isinstance(s, CScalar):
+        parts = ((s.re.a, ""), (s.re.b, " r3"), (s.im.a, " i"), (s.im.b, " r3 i"))
+    else:
+        parts = ((s.a, ""), (s.b, " r3"))
+    return [(c < 0, f"{abs(c)}{suffix}") for c, suffix in parts if c]
+
+
+def _join(terms):
+    """Signed terms as 'a - b + c', the first signed only if negative;
+    no terms print as 0."""
+    if not terms:
+        return "0"
+    (negative, first), rest = terms[0], terms[1:]
+    return ("-" if negative else "") + first + "".join(
+        f" {'-' if n else '+'} {text}" for n, text in rest)
 
 
 def format_scalar(s):
     """Canonical text form; parse(format(s)) == s."""
-    if isinstance(s, CScalar):
-        if s.im.is_zero():
-            return _format_real(s.re)
-        re_txt = "" if s.re.is_zero() else _format_real(s.re)
-        im_terms = []
-        for coeff, suffix in ((s.im.a, " i"), (s.im.b, " r3 i")):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
-            im_terms.append((sign, f"{mag}{suffix}"))
-        out = re_txt
-        for sign, body in im_terms:
-            if not out:
-                out = body if sign == "+" else f"-{body}"
-            else:
-                out += f" {sign} {body}"
-        return out
-    return _format_real(s)
+    return _join(_signed_terms(s))

@@ -1,7 +1,7 @@
 """Canonical invariant objects of the two geometries and their algebra:
 the 3-form rho, the quaternionic 4-form Omega, stabilizer subalgebras,
 projection operators on 2-forms, the structure-constant complex with its
-cohomology, root/weight data and calibration checks.
+cohomology and calibration checks.
 """
 
 from __future__ import annotations
@@ -57,12 +57,13 @@ def canonical_omega():
 
 
 class Subspace(Frozen):
-    """Exact subspace of a coordinatized ambient space."""
+    """Exact subspace of a coordinatized ambient space with the given basis:
+    the vectors must be linearly independent (a nullspace is; reduce a
+    spanning set with la.column_space_basis first)."""
 
     __slots__ = ("ambient", "basis", "dim")
 
-    def __init__(self, ambient, vectors):
-        basis = la.column_space_basis(vectors)
+    def __init__(self, ambient, basis):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", len(basis))
@@ -95,13 +96,18 @@ def stabilizer(gamma_form):
     return Subspace("L2", la.nullspace(M))
 
 
+def invariant_form(kind):
+    """(canonical invariant form, its degree) of the geometry named kind."""
+    if kind == "PSU3":
+        return canonical_rho(), 3
+    if kind == "SP1SP2":
+        return canonical_omega(), 4
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 @lru_cache(maxsize=None)
 def stabilizer_cached(kind):
-    if kind == "PSU3":
-        return stabilizer(canonical_rho())
-    if kind == "SP1SP2":
-        return stabilizer(canonical_omega())
-    raise ValueError(f"unknown kind {kind!r}")
+    return stabilizer(invariant_form(kind)[0])
 
 
 def l2_vector(alpha):
@@ -384,11 +390,9 @@ def sigma_canonical(kind, chirality):
 
 
 def calibration_form(kind):
-    if kind == "PSU3":
-        return canonical_rho() * 2, 3
-    if kind == "SP1SP2":
-        return canonical_omega() * (ONE / 6), 4
-    raise ValueError(f"unknown kind {kind!r}")
+    """(the invariant form scaled to be 1 on its model plane, its degree)."""
+    gamma, k = invariant_form(kind)
+    return gamma * (2 if k == 3 else ONE / 6), k
 
 
 def calibration(kind, plane):

@@ -35,6 +35,7 @@ from .structures import (
     c_apply,
     canonical_omega,
     canonical_rho,
+    invariant_form,
     l2_form,
     l2_vector,
     project2,
@@ -73,15 +74,18 @@ class GKind(Frozen):
         return f"GKind({self.kind!r})"
 
 
+# kind -> (the slot-2 projection selector, the chiralities of its Dirac maps)
+_SLOTS = {"PSU3": ("psu3_20", ("+", "-")), "SP1SP2": ("sp_15", ("+",))}
+
+
 @lru_cache(maxsize=None)
 def gkind(kind):
-    if kind == "PSU3":
-        gamma, degree, selector, chis = canonical_rho(), 3, "psu3_20", ("+", "-")
-    elif kind == "SP1SP2":
-        gamma, degree, selector, chis = canonical_omega(), 4, "sp_15", ("+",)
-    else:
+    if kind not in _SLOTS:
         raise TorsionError(f"unknown kind {kind!r}")
-    gperp = Subspace("L2", [l2_vector(a) for a in projection_columns(selector)])
+    gamma, degree = invariant_form(kind)
+    selector, chis = _SLOTS[kind]
+    gperp = Subspace("L2", la.column_space_basis(
+        [l2_vector(a) for a in projection_columns(selector)]))
     forms = tuple(l2_form(v) for v in gperp.basis)
     return GKind(kind, gamma, degree, stabilizer_cached(kind), gperp, forms,
                  selector, chis)

@@ -97,6 +97,12 @@ def test_classify(tmp_path, capsys):
     rc, _, err = run(capsys, "classify", str(f))
     assert rc == 2 and "parse error" in err
 
+    # a '*' needs a coefficient before it; the offset counts from the
+    # start of the file
+    f.write_text("\n* e123")
+    rc, _, err = run(capsys, "classify", str(f))
+    assert rc == 2 and "parse error" in err and "at offset 1" in err
+
     f.write_text("e12")
     rc, _, err = run(capsys, "classify", str(f))
     assert rc == 2 and "not a 3-form" in err

@@ -109,13 +109,41 @@ def test_format_round_trip(a):
     assert parse_form(format_form(a)) == a
 
 
+# rejected form texts with the offset of their error
+_BAD_FORMS = [
+    ("", 0),
+    ("e12 + qq", 6),
+    ("e21", 0),  # blade indices must increase
+    ("e19", 2),
+    ("1/0 e12", 0),
+    ("(1", 2),
+    ("e12 e34", 4),
+    ("* e12", 0),  # a '*' joins a coefficient to a blade
+    ("(2) *", 5),
+    ("e12 + -e34", 6),  # only a rational coefficient carries its own sign
+]
+
+# accepted form texts with their canonical print
+_GOOD_FORMS = [
+    ("- -3 e12", "3 e12"),
+    ("(1 + 2 i) * e12", "(1 + 2 i) e12"),
+    ("0", "0"),
+    ("e12 - e12", "0"),
+    ("1/2 r3 e123 - (1/4 + 1/4 i) e147", "1/2 r3 e123 + (-1/4 - 1/4 i) e147"),
+    ("-e34 + 2*e12 - (1/2) + 3 r3 i", "(-1/2 + 3 r3 i) + 2 e12 - e34"),
+]
+
+
 def test_parse_errors_have_location():
-    with pytest.raises(ParseError):
-        parse_form("")
-    try:
-        parse_form("e12 + qq")
-    except ParseError as ex:
-        assert "offset" in str(ex)
+    for text, offset in _BAD_FORMS:
+        with pytest.raises(ParseError, match=f"at offset {offset}$") as err:
+            parse_form(text)
+        assert err.value.offset == offset, text
+
+
+def test_parse_form_examples():
+    for text, printed in _GOOD_FORMS:
+        assert format_form(parse_form(text)) == printed, text
 
 
 def test_vector_round_trip():

@@ -9,6 +9,7 @@ from triality8.scalars import (
     CScalar,
     I,
     ONE,
+    ParseError,
     SQRT3,
     Scalar,
     ScalarError,
@@ -119,6 +120,24 @@ def test_parse_examples():
     z = parse_scalar("1/8 + 1/8 r3 i")
     assert isinstance(z, CScalar)
     assert z.re == Scalar(1) / 8 and z.im == SQRT3 / 8
+
+
+def test_scalar_grammar():
+    # accepted texts with their canonical print; one term with an i makes a CScalar
+    for text, printed, kind in (
+        ("- 3/4 r3", "-3/4 r3", Scalar),
+        ("1 + -2", "-1", Scalar),
+        ("2 - -1 r3i", "2 + 1 r3 i", CScalar),
+        ("1 i - 1 i", "0", CScalar),
+    ):
+        value = parse_scalar(text)
+        assert (format_scalar(value), type(value)) == (printed, kind), text
+    # rejected texts with the offset of their error
+    for text, offset in (("", 0), ("- -3", 0), ("1 +", 3), ("1 + 1/0", 4),
+                         ("2 i r3", 4), ("1 / 2", 2), ("(1)", 0), ("2 e12", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert err.value.offset == offset, text
 
 
 def test_exact_constructors_reject_float():
