@@ -38,9 +38,10 @@ def nil_torsion():
         return _verdict(False, "d* identity")
     gk = to.gkind("PSU3")
     M = la.transpose([list(b) for b in gk.gperp.basis])
-    coords = []
-    for a in T.projected().slots:
-        coords.extend(la.solve(M, st.l2_vector(a)))
+    xs = la.solve(M, *(st.l2_vector(a) for a in T.projected().slots))
+    if any(x is None for x in xs):
+        return _verdict(False, "g-perp coordinates")
+    coords = [c for x in xs for c in x]
     if not to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords):
         return _verdict(False, "kernel membership")
     ric = fr.ricci(F)

@@ -14,8 +14,10 @@ _TABLE as such permutations, and kappa_form adds +-c at one entry per row
 for each term c e_I.  kappa_block fills one 8x8 chirality block of
 kappa(alpha) the same way; an even blade maps each chirality to itself
 and an odd one swaps them, so a term either fills all 8 rows of the
-block or none.  _pair_classes() derives, from the index pattern, how two
-3-blades combine in the Gram matrix of that block (orbits.is_supersymmetric).
+block or none.  blade_apply multiplies a vector or matrix by the block of
+one blade through its permutation, without building the block.
+_pair_classes() derives, from the index pattern, how two 3-blades combine
+in the Gram matrix of that block (orbits.is_supersymmetric).
 Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 """
 
@@ -171,9 +173,6 @@ class SpinorMap(Frozen):
 
     __rmul__ = __mul__
 
-    def transpose(self):
-        return SpinorMap._own(la.transpose(self.matrix), self.target, self.source)
-
     def det(self):
         return la.det(self.matrix)
 
@@ -197,18 +196,6 @@ class SpinorMap(Frozen):
                 if s != (ONE if i == j else ZERO):
                     return False
         return True
-
-    def apply(self, v):
-        """Apply to 8 coordinates (vector or Spinor), returning coordinates."""
-        coords = v.coords if isinstance(v, Spinor) else v
-        return la.mat_vec(self.matrix, list(coords))
-
-    def column(self, i):
-        """Image of e_{i+1} / basis spinor i, as a Spinor when target is D+-."""
-        col = [self.matrix[r][i] for r in range(8)]
-        if self.target in ("+", "-"):
-            return Spinor(self.target, col)
-        return col
 
     def __eq__(self, other):
         if not isinstance(other, SpinorMap):
@@ -331,16 +318,23 @@ def kappa_form(alpha):
     return M
 
 
+def _block_rows(mask, target, source):
+    """The 8 rows of kappa(e_I) in the target block, as (column, sign)
+    pairs, or None when the blade maps them into the other block; and the
+    first column of the source block."""
+    c0 = 0 if source == "+" else 8
+    rows = _blade(mask)[:8] if target == "+" else _blade(mask)[8:]
+    return (rows if rows[0][0] // 8 == c0 // 8 else None), c0
+
+
 def kappa_block(alpha, target, source):
     """block(kappa_form(alpha), target, source), filled straight from the
     blade permutations."""
-    r0 = 0 if target == "+" else 8
-    c0 = 0 if source == "+" else 8
     B = [[ZERO] * 8 for _ in range(8)]
     for mask, c in alpha.terms.items():
-        rows = _blade(mask)[r0:r0 + 8]
-        if rows[0][0] // 8 != c0 // 8:
-            continue  # the blade maps the target rows into the other block
+        rows, c0 = _block_rows(mask, target, source)
+        if rows is None:
+            continue
         c = ZERO + c  # a field element even for an int coefficient
         signed = (None, c, -c)  # indexed by the sign s = +-1
         for Br, (col, s) in zip(B, rows):
@@ -349,6 +343,22 @@ def kappa_block(alpha, target, source):
             # an entry no term has reached yet is still the ZERO object
             Br[col] = signed[s] if x is ZERO else x + signed[s]
     return B
+
+
+def blade_apply(mask, target, source, x):
+    """kappa_block(e_I, target, source) x for the blade e_I with bit mask
+    `mask` and x a vector (8 entries) or a matrix (8 rows).  The block is a
+    signed permutation, so entry or row r of the product is entry or row
+    col(r) of x, signed; rows are copied.  A blade that maps the target rows
+    into the other block gives zeros."""
+    rows, c0 = _block_rows(mask, target, source)
+    if isinstance(x[0], (list, tuple)):
+        if rows is None:
+            return [[ZERO] * len(x[0]) for _ in range(8)]
+        return [list(x[c - c0]) if s > 0 else [-y for y in x[c - c0]] for c, s in rows]
+    if rows is None:
+        return [ZERO] * 8
+    return [x[c - c0] if s > 0 else -x[c - c0] for c, s in rows]
 
 
 def kappa(x):
@@ -397,8 +407,7 @@ def mu(sigma):
     flip = "-" if t == "+" else "+"
     out = [ZERO] * 8
     for i in range(8):
-        B = kappa_block(Multivector.blade(i + 1), flip, t)
-        img = la.mat_vec(B, list(sigma.column(i).coords))
+        img = blade_apply(1 << i, flip, t, [row[i] for row in sigma.matrix])
         out = [x + y for x, y in zip(out, img)]
     return Spinor(flip, out)
 
@@ -409,8 +418,7 @@ def iota(psi):
     scale = Scalar(-1) / 8
     target = "-" if psi.chirality == "+" else "+"
     for i in range(8):
-        B = kappa_block(Multivector.blade(i + 1), target, psi.chirality)
-        img = la.mat_vec(B, list(psi.coords))
+        img = blade_apply(1 << i, target, psi.chirality, psi.coords)
         cols.append([x * scale for x in img])
     return SpinorMap(la.transpose(cols), "v", target)
 

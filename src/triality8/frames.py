@@ -14,7 +14,7 @@ reproduces the structure equations verbatim.
 from __future__ import annotations
 
 from . import linalg as la
-from .clifford import Spinor, kappa_block
+from .clifford import Spinor, blade_apply
 from .exterior import Multivector, antiderivation, indices_of, mask_of
 from .orbits import bracket_from_form
 from .scalars import Frozen, Scalar, half
@@ -195,13 +195,11 @@ def intrinsic_torsion(F, kind):
     images = [_form_action(b, gamma).terms for b in gk.gperp_forms]
     masks = sorted({m for img in images for m in img})
     M = la.transpose([[img.get(m, ZERO) for m in masks] for img in images])
+    xs = la.solve(M, *([w.terms.get(m, ZERO) for m in masks] for w in nab))
+    if any(x is None for x in xs) or any(set(w.terms) - set(masks) for w in nab):
+        raise FrameError("nabla gamma not in torsion image")
     slots = []
-    for w in nab:
-        if set(w.terms) - set(masks):
-            raise FrameError("nabla gamma not in torsion image")
-        x = la.solve(M, [w.terms.get(m, ZERO) for m in masks])
-        if x is None:
-            raise FrameError("nabla gamma not in torsion image")
+    for x in xs:
         s = Multivector.zero()
         for coef, b in zip(x, gk.gperp_forms):
             if coef:
@@ -217,15 +215,9 @@ def ricci_constraint(ric, kind, chirality="+"):
     src = sigma.target
     dst = "-" if src == "+" else "+"
     out = [ZERO] * 8
-    for i in range(1, 9):
-        B = kappa_block(Multivector.blade(i), dst, src)
-        v = [ZERO] * 8
-        for j in range(1, 9):
-            c = ric[i - 1][j - 1]
-            if c:
-                for r in range(8):
-                    v[r] = v[r] + sigma.matrix[r][j - 1] * c
-        img = la.mat_vec(B, v)
+    for i in range(8):
+        # e_i . sum_j Ric_ij sigma(e_j)
+        img = blade_apply(1 << i, dst, src, la.mat_vec(sigma.matrix, ric[i]))
         out = [x + y for x, y in zip(out, img)]
     return Spinor(dst, out)
 

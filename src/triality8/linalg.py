@@ -48,6 +48,10 @@ PRIMES = (
     (4611686018427387733, 4323614181204999790),
     (4611686018427387709, 3144011615910092798),
     (4611686018427387421, 4448369033762642070),
+    (4611686018427387409, 1449410653791893137),
+    (4611686018427387301, 2429538188217563659),
+    (4611686018427387241, 2347780624564482379),
+    (4611686018427387073, 1030385827295191708),
 )
 
 # product of the basis elements (1, r3, i, r3 i): (index, factor)
@@ -370,18 +374,25 @@ def nullspace(A, ncols=None):
     return basis
 
 
-def solve(A, b):
-    """One exact solution of A x = b, or None if inconsistent."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [A[r][:] + [b[r]] for r in range(rows)]
+def solve(A, *bs):
+    """One exact solution of A x = b for each b, or None if inconsistent,
+    from one elimination of [A | b_1 ... b_k]; a list for several b.  A b
+    whose column combines the pivot of an earlier b is inconsistent: that
+    b is outside the column space of A."""
+    cols = len(A[0]) if A else 0
+    aug = [row[:] + [b[r] for b in bs] for r, row in enumerate(A)]
     pivots, columns = _reduced(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for c, val in columns.get(cols, {}).items():  # absent when A has no rows
-        x[c] = val
-    return x
+    out = []
+    for f in range(cols, cols + len(bs)):
+        entries = columns.get(f, {})  # absent when A has no rows
+        if f in pivots or any(c >= cols for c in entries):
+            out.append(None)
+            continue
+        x = [ZERO] * cols
+        for c, val in entries.items():
+            x[c] = val
+        out.append(x)
+    return out[0] if len(bs) == 1 else out
 
 
 def det(A):

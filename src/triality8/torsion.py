@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import linalg as la
-from .clifford import SpinorMap, act2_svf, form_to_map, kappa_block, mu
+from .clifford import SpinorMap, act2_svf, blade_apply, form_to_map, mu
 from .exterior import (
     Multivector,
     blades_of_grade,
@@ -41,7 +41,6 @@ from .structures import (
     project2,
     projection_columns,
     sigma_canonical,
-    stabilizer_cached,
 )
 
 ZERO = Scalar(0)
@@ -53,21 +52,19 @@ class TorsionError(ValueError):
 
 
 class GKind(Frozen):
-    """Invariant data of one of the two geometries: the form, its
-    stabilizer g, the complement g-perp and the slot-2 projection."""
+    """Invariant data of one of the two geometries: the form, its degree,
+    the complement g-perp of its stabilizer g as a basis of Lambda^2 and
+    the Dirac chiralities.  Only the operator matrices need it; the
+    operators on single tensors read _SLOTS and the invariant form."""
 
-    __slots__ = ("kind", "gamma", "degree", "stab", "gperp", "gperp_forms",
-                 "selector", "chiralities")
+    __slots__ = ("kind", "gamma", "degree", "gperp", "gperp_forms", "chiralities")
 
-    def __init__(self, kind, gamma, degree, stab, gperp, gperp_forms,
-                 selector, chiralities):
+    def __init__(self, kind, gamma, degree, gperp, gperp_forms, chiralities):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "stab", stab)
         object.__setattr__(self, "gperp", gperp)
         object.__setattr__(self, "gperp_forms", gperp_forms)
-        object.__setattr__(self, "selector", selector)
         object.__setattr__(self, "chiralities", chiralities)
 
     def __repr__(self):
@@ -78,24 +75,27 @@ class GKind(Frozen):
 _SLOTS = {"PSU3": ("psu3_20", ("+", "-")), "SP1SP2": ("sp_15", ("+",))}
 
 
-@lru_cache(maxsize=None)
-def gkind(kind):
+def _slots(kind):
     if kind not in _SLOTS:
         raise TorsionError(f"unknown kind {kind!r}")
+    return _SLOTS[kind]
+
+
+@lru_cache(maxsize=None)
+def gkind(kind):
+    selector, chis = _slots(kind)
     gamma, degree = invariant_form(kind)
-    selector, chis = _SLOTS[kind]
     gperp = Subspace("L2", la.column_space_basis(
         [l2_vector(a) for a in projection_columns(selector)]))
     forms = tuple(l2_form(v) for v in gperp.basis)
-    return GKind(kind, gamma, degree, stabilizer_cached(kind), gperp, forms,
-                 selector, chis)
+    return GKind(kind, gamma, degree, gperp, forms, chis)
 
 
 def _project_slot(kind, a):
     """Slot-2 projection to g-perp (project2 is complex-linear)."""
     if a.is_zero():
         return a
-    return project2(a, gkind(kind).selector)
+    return project2(a, _SLOTS[kind][0])
 
 
 class TorsionTensor(Frozen):
@@ -106,7 +106,7 @@ class TorsionTensor(Frozen):
     __slots__ = ("kind", "slots")
 
     def __init__(self, kind, slots):
-        gkind(kind)  # validate the label
+        _slots(kind)  # validate the label
         ss = tuple(slots)
         if len(ss) != 8:
             raise TorsionError("need 8 slots")
@@ -177,26 +177,25 @@ def _form_action(a, gamma):
     return -(a.act2(gamma))
 
 
-def dhat(T):
-    """Sum X_i ^ a_i(gamma), a (p+1)-form."""
-    gamma = gkind(T.kind).gamma
+def _form_side(T, x_times):
+    """Sum x_times(X_i, a_i(gamma)) over the projected slots a_i."""
+    gamma, _ = invariant_form(T.kind)
     out = Multivector.zero()
     for i, a in enumerate(T.slots):
         a = _project_slot(T.kind, a)
         if a:
-            out = out + (Multivector.blade(i + 1) ^ _form_action(a, gamma))
+            out = out + x_times(Multivector.blade(i + 1), _form_action(a, gamma))
     return out
+
+
+def dhat(T):
+    """Sum X_i ^ a_i(gamma), a (p+1)-form."""
+    return _form_side(T, Multivector.__xor__)
 
 
 def dstar_hat(T):
     """Sum X_i -| a_i(gamma), a (p-1)-form."""
-    gamma = gkind(T.kind).gamma
-    out = Multivector.zero()
-    for i, a in enumerate(T.slots):
-        a = _project_slot(T.kind, a)
-        if a:
-            out = out + Multivector.blade(i + 1).contract(_form_action(a, gamma))
-    return out
+    return _form_side(T, Multivector.contract)
 
 
 def _embed3(alpha, kind, project=True):
@@ -232,10 +231,10 @@ def Dhat(T, chirality="+"):
     """Sum X_i . (a_i(sigma_chirality)), a map Lambda^1 -> D-/+.
 
     The 2-forms act on the supersymmetric map through act2_svf and the
-    grade-1 Clifford multiplication flips the chirality of the result.
+    grade-1 Clifford multiplication, a signed permutation, flips the
+    chirality of the result.
     """
-    gk = gkind(T.kind)
-    if chirality not in gk.chiralities:
+    if chirality not in _SLOTS[T.kind][1]:
         raise TorsionError(f"chirality {chirality!r} unavailable for {T.kind}")
     sigma = sigma_canonical(T.kind, chirality)
     src = sigma.target
@@ -245,21 +244,9 @@ def Dhat(T, chirality="+"):
         a = _project_slot(T.kind, a)
         if a.is_zero():
             continue
-        svf = act2_svf(a, sigma)
-        B = kappa_block(Multivector.blade(i + 1), dst, src)
-        term = SpinorMap(la.mat_mul(B, svf.matrix), "v", dst)
-        total = term if total is None else total + term
-    return total if total is not None else SpinorMap(la.zeros(8, 8), "v", dst)
-
-
-def _times_e(i, S, target, source):
-    """kappa_block(e_i, target, source) S for an 8x8 matrix S: the block is
-    a signed permutation, so the rows of the product are rows of S, signed."""
-    rows = []
-    for row in kappa_block(Multivector.blade(i), target, source):
-        c, x = next((c, x) for c, x in enumerate(row) if x)
-        rows.append(S[c] if x == ONE else [-y for y in S[c]])
-    return rows
+        term = blade_apply(1 << i, dst, src, act2_svf(a, sigma).matrix)
+        total = term if total is None else la.mat_add(total, term)
+    return SpinorMap(total if total is not None else la.zeros(8, 8), "v", dst)
 
 
 # -- the operator L on 3-forms (quaternionic geometry) ---------------------
@@ -274,13 +261,11 @@ def _l3_images(kind, chirality, target):
     chirality).  They do not depend on the 3-form, so every L_op shares
     one table."""
     sigma = sigma_canonical(kind, chirality)
-    cols = la.transpose(sigma.matrix)
     out = []
     for mask in _L3_MASKS:
-        B = kappa_block(Multivector({mask: ONE}), target, sigma.target)
-        imgs = [la.mat_vec(B, col) for col in cols]
-        out.append((mask, tuple((r, i, img[r]) for i, img in enumerate(imgs)
-                                for r in range(8) if img[r])))
+        img = blade_apply(mask, target, sigma.target, sigma.matrix)
+        out.append((mask, tuple((r, i, img[r][i]) for i in range(8)
+                                for r in range(8) if img[r][i])))
     return tuple(out)
 
 
@@ -344,9 +329,9 @@ def _l_columns():
     cols = []
     for mask in _L3_MASKS:
         i, j, k = indices_of(mask)
-        D = la.mat_sub(_times_e(i, svf[mask_of((j, k))], dst, src),
-                       _times_e(j, svf[mask_of((i, k))], dst, src))
-        D = la.mat_add(D, _times_e(k, svf[mask_of((i, j))], dst, src))
+        D = la.mat_sub(blade_apply(1 << (i - 1), dst, src, svf[mask_of((j, k))]),
+                       blade_apply(1 << (j - 1), dst, src, svf[mask_of((i, k))]))
+        D = la.mat_add(D, blade_apply(1 << (k - 1), dst, src, svf[mask_of((i, j))]))
         L = _pair_to_l3(D, _l3_images("SP1SP2", "+", dst)) * _l_scale()
         cols.append(to_vector(L, _L3_MASKS))
     return cols
@@ -389,8 +374,8 @@ def _operator_columns(kind):
         sigma = sigma_canonical(kind, c)
         svfs = [act2_svf(a, sigma).matrix for a in slots]
         dst = "-" if sigma.target == "+" else "+"
-        cols_D[c] = [list(chain.from_iterable(_times_e(i, S, dst, sigma.target)))
-                     for i in range(1, 9) for S in svfs]
+        cols_D[c] = [list(chain.from_iterable(blade_apply(1 << i, dst, sigma.target, S)))
+                     for i in range(8) for S in svfs]
     return cols_d, cols_ds, cols_D
 
 
@@ -454,7 +439,7 @@ def z_constants():
     T = TorsionTensor("PSU3", slots)
     sp = mu(Dhat(T, "-"))
     sm = mu(Dhat(T, "+"))
-    mapped = _rho_block(sm.chirality).apply(sm)
+    mapped = la.mat_vec(_rho_block(sm.chirality).matrix, sm.coords)
     try:
         return la.common_ratio(z22_pairs), la.common_ratio(zip(sp.coords, mapped))
     except la.RatioError as exc:

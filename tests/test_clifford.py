@@ -13,6 +13,7 @@ from triality8.clifford import (
     _pair_classes,
     Spinor,
     SpinorMap,
+    blade_apply,
     block,
     form_to_map,
     iota,
@@ -23,7 +24,7 @@ from triality8.clifford import (
     q_adjoint_check,
 )
 from triality8.exterior import Multivector, blades_of_grade, indices_of
-from triality8.scalars import I, ONE, SQRT3, Scalar, half
+from triality8.scalars import I, ONE, SQRT3, CScalar, Scalar, half
 
 e = Multivector.blade
 
@@ -87,6 +88,29 @@ def test_kappa_block_matches_dense_block_on_mixed_grades():
         M = kappa_form(alpha)
         for t, s in CHIRALITY_PAIRS:
             assert la.mat_eq(kappa_block(alpha, t, s), block(M, t, s))
+
+
+def test_blade_apply_matches_dense_product():
+    """The signed-permutation action of one blade equals the kappa_block
+    product, for the 8 vectors and the 56 3-blades, every chirality pair,
+    on real and complex vectors and matrices with zero entries among them."""
+    rng = random.Random(15)
+    values = [Scalar(0), Scalar(2), Scalar(-1) / 3, SQRT3, Scalar(1, -2)]
+
+    def entry(complex_):
+        x = rng.choice(values)
+        return CScalar(x, rng.choice(values)) if complex_ else x
+
+    for complex_ in (False, True):
+        v = [entry(complex_) for _ in range(8)]
+        M = [[entry(complex_) for _ in range(5)] for _ in range(8)]
+        for mask in blades_of_grade(1) + blades_of_grade(3):
+            for t, s in CHIRALITY_PAIRS:
+                B = kappa_block(Multivector({mask: ONE}), t, s)
+                assert blade_apply(mask, t, s, v) == la.mat_vec(B, v), (mask, t, s)
+                got = blade_apply(mask, t, s, M)
+                assert got == la.mat_mul(B, M), (mask, t, s)
+                assert not any(r is m for r in got for m in M)
 
 
 def _isometry_dense(A):

@@ -192,6 +192,25 @@ def test_answers_equal_exact_rref(field, data):
         assert la.solve(A, b) == ref_solve(A, b)
 
 
+@pytest.mark.parametrize("field", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_many_equals_solve_each(field, data):
+    """One elimination of [A | b_1 ... b_k] answers as k separate solves do.
+    A zero row is appended, so e_last is inconsistent; the later right-hand
+    sides include one that combines the pivot of e_last with A x."""
+    A = data.draw(matrices(field))
+    A = A + [[ZERO] * len(A[0])]
+    x = [data.draw(ELEMENTS[field]) for _ in A[0]]
+    Ax = la.mat_vec(A, x)
+    e_last = [ZERO] * (len(A) - 1) + [ONE]
+    bs = [Ax, [data.draw(ELEMENTS[field]) for _ in A[:-1]] + [ZERO], e_last,
+          [u + v for u, v in zip(Ax, e_last)], [data.draw(ELEMENTS[field]) for _ in A]]
+    got = la.solve(A, *bs)
+    assert got == [la.solve(A, b) for b in bs] == [ref_solve(A, b) for b in bs]
+    assert got[0] is not None and got[2] is None and got[3] is None
+
+
 # small primes = 1 (mod 12) with a primitive 12th root of unity: unlucky
 # primes, pivot lists that disagree and an exhausted list are all common
 SMALL_PRIMES = ((13, 2), (37, 8), (61, 21), (73, 3), (97, 6))
@@ -246,6 +265,36 @@ def test_forced_fallback_stays_exact(monkeypatch, A):
     # the first prime could not certify (with a denominator divisible by P
     # it cannot even reduce the matrix): a later prime answered
     assert set(moduli) - {P}
+
+
+def _entry(x):
+    if x == 0:
+        return ZERO
+    a, b, c, d = (Fraction(t) for t in x)
+    return CScalar(Scalar(a, b), Scalar(c, d))
+
+
+# drawn by the property suite: a product of 6x6 matrices over Q(r3)[i]
+# whose RREF has 125-bit numerators, past the bound sqrt(M/2) of four
+# primes (123 bits)
+WIDE = [[_entry(x) for x in row] for row in [
+    [0, 0, 0, 0, 0, 0],
+    [(0, -2, "-9/2", 0), (0, 0, 6, 0), (0, 0, 18, 0), 0, 0, 0],
+    [(-18, 3, "27/4", 0), (0, 12, -21, 0), (0, 0, -28, 0), (0, 0, 18, 0),
+     (36, 0, -9, 0), (9, 0, "110/3", 0)],
+    [(0, 0, -27, "3/2"), (18, 3, 0, -12), 0, (2, 11, -9, "-7/2"),
+     (46, "61/4", -45, 4), (-18, 0, 3, 0)],
+    [(0, "-3/2", 6, 0), (0, 0, 0, "-19/4"), 0, (7, -6, -12, "3/2"),
+     (-3, 15, -28, "-29/12"), (36, "-5/4", -3, 3)],
+    [(-24, 1, "-9/4", 0), (-4, 16, 27, 4), (0, 0, 21, 1), (6, -1, 15, -3),
+     (64, -2, -24, "1/4"), (12, -1, 46, "-14/3")],
+]]
+
+
+def test_wide_entries_take_a_fifth_prime(monkeypatch):
+    moduli = record_moduli(monkeypatch)
+    assert_reduced_equals_rref(WIDE)
+    assert len(set(moduli)) == 5
 
 
 def test_fast_path_on_small_matrices(monkeypatch):

@@ -144,3 +144,46 @@ def test_public_names_resolve():
     assert star == sorted(names)
     assert missing == "module 'triality8' has no attribute 'no_such_name'"
     assert sub == "triality8.torsion"
+
+
+def test_single_tensor_operators_build_no_gkind():
+    """dhat, dstar_hat, Dhat and L_op on single tensors read the kind table
+    and the invariant form only: neither g-perp nor the stabilizer is
+    built."""
+    _, out = _fresh(
+        "from triality8 import structures, torsion as to\n"
+        "from triality8.exterior import Multivector\n"
+        "e = Multivector.blade\n"
+        "T = to.TorsionTensor.simple('PSU3', e(1), e(1, 8))\n"
+        "S = to.TorsionTensor.simple('SP1SP2', e(2), e(1, 3))\n"
+        "ops = [to.dhat(T), to.dstar_hat(T), to.Dhat(T, '+'), to.Dhat(T, '-'),\n"
+        "       to.dhat(S), to.dstar_hat(S), to.Dhat(S, '+'), to.L_op(e(1, 2, 3))]\n"
+        "try:\n"
+        "    to.TorsionTensor('XYZ', [Multivector.zero()] * 8)\n"
+        "    err = None\n"
+        "except to.TorsionError as ex:\n"
+        "    err = str(ex)\n"
+        "out = [all(not op.is_zero() for op in ops), to.gkind.cache_info().currsize,\n"
+        "       structures.stabilizer_cached.cache_info().currsize, err]\n"
+    )
+    assert out == [True, 0, 0, "unknown kind 'XYZ'"]
+
+
+def test_package_imports_no_third_party_module():
+    """Importing every submodule adds no top-level module outside the
+    standard library, the package itself and the optional gmpy2.  The
+    snapshot is taken after start-up, because site .pth files may import
+    packages of their own."""
+    _, out = _fresh(
+        "import importlib, pkgutil\n"
+        "before = set(sys.modules)\n"
+        "import triality8\n"
+        "names = [m.name for m in pkgutil.walk_packages(triality8.__path__, 'triality8.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "out = [names, sorted({n.split('.')[0] for n in set(sys.modules) - before})]\n"
+    )
+    names, added = out
+    assert {"triality8.torsion", "triality8.cli", "triality8.claims.frame"} <= set(names)
+    allowed = set(sys.stdlib_module_names) | {"triality8", "gmpy2"}
+    assert [n for n in added if n not in allowed] == []

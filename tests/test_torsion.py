@@ -27,7 +27,7 @@ def test_surjectivity_identity(rho):
 @pytest.mark.parametrize("kind", ["PSU3", "SP1SP2"])
 def test_operators_vanish_on_stabilizer_slots(kind):
     gk = to.gkind(kind)
-    for v in gk.stab.basis[:3]:
+    for v in stabilizer_cached(kind).basis[:3]:
         Tg = to.TorsionTensor.simple(kind, e(2), l2_form(v))
         assert to.dhat(Tg).is_zero()
         assert to.dstar_hat(Tg).is_zero()
