@@ -208,7 +208,9 @@ def cmd_obstruct(args, out):
     try:
         d = _chardata_from_args(args.data)
     except (OSError, ValueError, KeyError) as err:
-        print(f"bad characteristic data: {err}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        msg = err.args[0] if isinstance(err, KeyError) else err
+        print(f"bad characteristic data: {msg}", file=sys.stderr)
         return 2
     rep = {
         "data": d.as_dict(),

@@ -72,7 +72,10 @@ class CharData(Frozen):
             if key not in cls.__slots__:
                 raise KeyError(f"unknown CharData field {key!r}")
             if key in ("p1_squared_M", "p2_M", "euler_M", "signature"):
-                kw[key] = int(v)
+                try:
+                    kw[key] = int(v)
+                except ValueError:
+                    raise ValueError(f"bad integer for {key}: {v!r}") from None
             else:
                 if isinstance(v, str):
                     low = v.strip().lower()

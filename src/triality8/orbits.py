@@ -295,16 +295,23 @@ class BracketTable(Frozen):
         return True
 
     def killing_form(self):
-        ads = [self.ad(i) for i in range(8)]
+        """K = -2 C C^T for the 8 x 28 matrix C[i][(k, l)] = c_ikl, k < l:
+        by total antisymmetry tr(ad_i ad_j) = sum_{k,l} c_ilk c_jkl =
+        -2 sum_{k<l} c_ikl c_jkl."""
+        # the nonzero entries of each column (k, l) of C, as (row, c_ikl)
+        columns = {}
+        for (i, j, k), v in self.c.items():
+            for pair, row, x in (((j, k), i, v), ((i, k), j, -v), ((i, j), k, v)):
+                columns.setdefault(pair, []).append((row - 1, x))
         K = la.zeros(8, 8)
+        for column in columns.values():
+            for n, (i, x) in enumerate(column):
+                for j, y in column[n:]:
+                    a, b = (i, j) if i < j else (j, i)
+                    K[a][b] = K[a][b] + x * y
         for i in range(8):
             for j in range(i, 8):
-                M = la.mat_mul(ads[i], ads[j])
-                t = ZERO
-                for r in range(8):
-                    t = t + M[r][r]
-                K[i][j] = t
-                K[j][i] = t
+                K[i][j] = K[j][i] = K[i][j] * -2
         return K
 
 
@@ -398,10 +405,9 @@ def _l2_params(b):
 
     The Killing form has eigenvalue -2 s^2 on one ideal and -2 t^2 on the
     other, with s^2 + t^2 = 1; tr K^2 = 12 (s^4 + t^4) pins the pair.
+    K is symmetric, so tr K^2 is the sum of the squares of its entries.
     """
-    K = b.killing_form()
-    K2 = la.mat_mul(K, K)
-    tr2 = sum_scalar(K2[i][i] for i in range(8))
+    tr2 = sum_scalar(x * x for row in b.killing_form() for x in row if x)
     s4t4 = tr2 / 12
     # s^2, t^2 are roots of x^2 - x + (1 - (s^4+t^4))/2
     prod = (ONE - s4t4) / 2

@@ -8,6 +8,7 @@ the exact kernel/rank computations elsewhere rely on.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ except ImportError:
     _Rational = Fraction
 _RATIONALS = (int, Fraction, _Rational)
 _SQRT3 = 1.7320508075688772935274463415058723669
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 def _parts(x):
@@ -171,9 +173,19 @@ class Scalar(Frozen):
 
     def __hash__(self):
         # a rational value hashes as the rational, like the int it equals
+        p, d = self.p, self.d
         if self.q:
-            return hash((self.p, self.q, self.d))
-        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+            return hash((p, self.q, d))
+        if d == 1:
+            return hash(p)
+        # CPython's documented rule for the rational p/d (fractions.Fraction)
+        if d % _HASH_MODULUS:
+            h = hash(abs(p)) * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+        else:
+            h = sys.hash_info.inf
+        if p < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def sign(self):
         """Sign of the real value a + b*sqrt(3)."""

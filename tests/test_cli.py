@@ -149,6 +149,11 @@ def test_obstruct(tmp_path, capsys):
 
     rc, _, err = run(capsys, "obstruct", "bogus=1")
     assert rc == 2
+    assert err == "bad characteristic data: unknown CharData field 'bogus'\n"
+
+    rc, _, err = run(capsys, "obstruct", "p2_M=abc")
+    assert rc == 2
+    assert err == "bad characteristic data: bad integer for p2_M: 'abc'\n"
 
     rc, _, err = run(capsys, "obstruct", "p1_squared_M")
     assert rc == 2

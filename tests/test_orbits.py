@@ -12,8 +12,10 @@ from triality8.exterior import (
 )
 from triality8.orbits import (
     _TRIPLES,
+    BracketTable,
     OrbitClass,
     OrbitError,
+    _l2_params,
     bracket_from_form,
     coeff3,
     gamma,
@@ -326,6 +328,85 @@ def test_orbit_classification(rho):
     assert orbit_classify(e(1, 2, 3) + e(1, 4, 5)).kind == "NotSupersymmetric"
     with pytest.raises(OrbitError):
         orbit_classify(e(1, 2))
+
+
+def _trace(M):
+    return sum((M[r][r] for r in range(len(M))), ZERO)
+
+
+def killing_form_dense(b):
+    """tr(ad_i ad_j) through the 36 products of the dense 8x8 ad matrices:
+    the oracle for BracketTable.killing_form."""
+    ads = [b.ad(i) for i in range(8)]
+    K = la.zeros(8, 8)
+    for i in range(8):
+        for j in range(i, 8):
+            K[i][j] = K[j][i] = _trace(la.mat_mul(ads[i], ads[j]))
+    return K
+
+
+def _same_entries(A, B):
+    """Entry for entry equal and of the same type (Scalar or CScalar)."""
+    return all(type(x) is type(y) and x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+
+
+_L2 = e(1, 2, 3) * (SQRT3 * half()) + e(4, 5, 6) * half()
+
+
+def test_killing_form_matches_ad_products(rho):
+    """K = -2 C C^T equals tr(ad_i ad_j) on real, complex and non-Lie
+    brackets, and the sum of the squares of its entries is tr K^2."""
+    rng = random.Random(41)
+    forms = [rho, e(1, 2, 3), e(1, 2, 3) + e(4, 5, 6), rho.complexify(), _L2.complexify()]
+    forms += [apply_linear(_pythagorean_rotation(rng), m) for m in _MODELS for _ in range(2)]
+    forms += [apply_linear(_givens(0, 5, Scalar(5) / 4, I * 3 / 4), m) for m in _MODELS]
+    forms += [Multivector(dict(zip(rng.sample(_THREES, len(p)), p)))
+              for p in _COMPLEX_PATTERNS + _MIXED_PATTERNS for _ in range(2)]
+    forms += [_random_unit_3form(rng) for _ in range(100)]
+    non_lie = [bracket_from_form(rand3(rng, rng.randint(2, 8))) for _ in range(40)]
+    non_lie = [b for b in non_lie if not b.jacobi_holds()]
+    assert len(non_lie) >= 10
+    brackets = [bracket_from_form(f) for f in forms] + non_lie
+    assert any(isinstance(x, CScalar) for b in brackets for x in b.c.values())
+    for b in brackets:
+        K = b.killing_form()
+        assert _same_entries(K, killing_form_dense(b)), b.c
+        squares = sum((x * x for row in K for x in row if x), ZERO)
+        assert squares == _trace(la.mat_mul(K, K))
+
+
+def test_l2_params_against_dense_trace():
+    """The ideal norms (s^2, t^2) that _l2_params reads from the sum of the
+    squares of K solve s^2 + t^2 = 1 and 12 (s^4 + t^4) = tr K^2, with tr K^2
+    taken from the ad products."""
+    rng = random.Random(43)
+    forms = [_L2] + [apply_linear(_pythagorean_rotation(rng), _L2) for _ in range(4)]
+    forms += [apply_linear(_givens(1, 4, c, s), _L2) for c, s in _ANGLES[:3]]
+    for f in forms:
+        b = bracket_from_form(f)
+        K = killing_form_dense(b)
+        hi, lo = _l2_params(b)
+        assert hi + lo == ONE and hi.sign() >= 0 and (hi - lo).sign() >= 0
+        assert (hi * hi + lo * lo) * 12 == _trace(la.mat_mul(K, K))
+        assert (hi, lo) == (Scalar(3) / 4, Scalar(1) / 4)
+
+
+def test_killing_form_takes_no_matrix_products(rho, monkeypatch):
+    """killing_form and _l2_params read the constants only: they call
+    neither la.mat_mul nor BracketTable.ad."""
+    rotated = apply_linear(_pythagorean_rotation(random.Random(47)), _L2)
+    brackets = [bracket_from_form(f) for f in (rho, rho.complexify(), _L2, rotated)]
+    forms = [b.killing_form() for b in brackets]
+    params = [_l2_params(b) for b in brackets[2:]]
+
+    def refuse(*args):
+        raise AssertionError("matrix product in the Killing form")
+
+    monkeypatch.setattr(la, "mat_mul", refuse)
+    monkeypatch.setattr(BracketTable, "ad", refuse)
+    for b, K in zip(brackets, forms):
+        assert _same_entries(b.killing_form(), K)
+    assert [_l2_params(b) for b in brackets[2:]] == params
 
 
 def test_conjugation_invariance(rho):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,31 @@ def test_equal_values_hash_equal(q, r):
     for x in reps:
         for y in reps:
             assert x == y and hash(x) == hash(y), (x, y)
+
+
+_MODULUS = sys.hash_info.modulus
+_BIG = 2**80
+
+
+@given(st.integers(-_BIG, _BIG),
+       st.one_of(st.integers(1, _BIG), st.integers(1, 2**19).map(lambda k: k * _MODULUS)))
+def test_rational_hash_follows_fraction(n, d):
+    """Scalar hashes a non-integer rational by CPython's rule itself; it
+    must agree with Fraction, also where d is a multiple of the modulus."""
+    q = Fraction(n, d)
+    assert hash(Scalar(q)) == hash(q)
+    assert hash(Scalar(-q)) == hash(-q)
+
+
+def test_rational_hash_edge_cases():
+    inf = sys.hash_info.inf
+    for q in (Fraction(1, _MODULUS), Fraction(-3, 7 * _MODULUS), Fraction(-1, 2),
+              Fraction(_MODULUS + 1, 3), Fraction(-_MODULUS - 2, 2)):
+        assert hash(Scalar(q)) == hash(q)
+    # -(M + 2)/2 reduces to -1 mod M, which CPython maps to -2
+    assert hash(Scalar(Fraction(-_MODULUS - 2, 2))) == -2
+    assert hash(Scalar(Fraction(1, _MODULUS))) == inf
+    assert hash(Scalar(Fraction(-1, _MODULUS))) == -inf
 
 
 @given(st.lists(st.tuples(st.integers(0, 255), rationals, rationals), max_size=4))
