@@ -36,13 +36,10 @@ def nil_torsion():
         return _verdict(False, "d identity")
     if to.dstar_hat(T) != -fr.codifferential(rho, F):
         return _verdict(False, "d* identity")
-    gk = to.gkind("PSU3")
-    M = la.transpose([list(b) for b in gk.gperp.basis])
-    xs = la.solve(M, *(st.l2_vector(a) for a in T.projected().slots))
-    if any(x is None for x in xs):
+    if T.projected() != T:
         return _verdict(False, "g-perp coordinates")
-    coords = [c for x in xs for c in x]
-    if not to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords):
+    # the harmonic kernel on Lambda^1 (x) g-perp is the joint kernel of both
+    if not (to.dhat(T).is_zero() and to.dstar_hat(T).is_zero()):
         return _verdict(False, "kernel membership")
     ric = fr.ricci(F)
     for chi in ("+", "-"):

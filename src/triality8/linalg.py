@@ -32,7 +32,6 @@ names the matrix: no uncertified result is ever returned.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import mul
 
@@ -128,21 +127,12 @@ class _Uncertified(Exception):
     """The primes tried so far could not certify the answer."""
 
 
-def _residue(q, p):
-    den = int(q.denominator)
-    if den == 1:
-        return int(q.numerator) % p
-    if den % p == 0:
-        raise _Uncertified("denominator divisible by p")
-    return int(q.numerator) * pow(den, -1, p) % p
-
-
 def _reconstruct(u, M, bound):
-    """The rational n/d with |n|, d <= bound and n = u d (mod M)."""
+    """Ints (n, d) with |n|, d <= bound, d > 0 and n = u d (mod M)."""
     if u <= bound:
-        return u
+        return u, 1
     if M - u <= bound:
-        return u - M
+        return u - M, 1
     r0, r1, t0, t1 = M, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -151,7 +141,7 @@ def _reconstruct(u, M, bound):
         r1, t1 = -r1, -t1
     if t1 > bound:
         raise _Uncertified("reconstruction out of bound")
-    return Fraction(r1, t1)
+    return r1, t1
 
 
 def _rref_mod(R, p):
@@ -180,22 +170,21 @@ def _rref_mod(R, p):
 
 
 class _Field:
-    """The entries of a matrix split into exact components over the basis
-    (1, r3, i, r3 i), and the embeddings into F_p that they need."""
+    """The entries of a matrix as integer numerators (a, b, c, d, L), the
+    value (a + b r3 + (c + d r3) i)/L, and the embeddings into F_p that
+    they need."""
 
     def __init__(self, A):
-        self.parts = {}  # entry -> (a, b, c, d)
+        self.parts = {}  # entry -> entry.numerators()
         self.is_complex = False
         for row in A:
             for x in row:
                 if x and x not in self.parts:
-                    if type(x) is Scalar:
-                        self.parts[x] = (x.a, x.b, 0, 0)
-                    elif type(x) is CScalar:
-                        self.parts[x] = (x.re.a, x.re.b, x.im.a, x.im.b)
+                    if type(x) is CScalar:
                         self.is_complex = True
-                    else:
+                    elif type(x) is not Scalar:
                         raise TypeError(f"entry of type {type(x).__name__}")
+                    self.parts[x] = x.numerators()
         r3 = any(p[1] or p[3] for p in self.parts.values())
         im = any(p[2] or p[3] for p in self.parts.values())
         self.comps = [k for k, on in enumerate((True, r3, im, r3 and im)) if on]
@@ -209,9 +198,11 @@ class _Field:
         ej, es*ej and root_k = 1, S3, J, S3*J."""
         s3, j = (w + pow(w, 11, p)) % p, pow(w, 3, p)
         images = {}
-        for x, parts in self.parts.items():
-            a, b, c, d = [_residue(q, p) for q in parts]
-            images[x] = [(a + es * s3 * b + ej * j * (c + es * s3 * d)) % p
+        for x, (a, b, c, d, L) in self.parts.items():
+            if L % p == 0:
+                raise _Uncertified("denominator divisible by p")
+            inv = pow(L, -1, p)
+            images[x] = [(a + es * s3 * b + ej * j * (c + es * s3 * d)) * inv % p
                          for es, ej in self.signs]
         n = len(self.signs)
         roots = (1, s3, j, s3 * j)
@@ -219,10 +210,9 @@ class _Field:
                          pow(n * roots[k] % p, -1, p)) for k in self.comps]
 
     def element(self, parts):
-        a, b, c, d = parts
-        if self.is_complex:
-            return CScalar(Scalar(a, b), Scalar(c, d))
-        return Scalar(a, b)
+        a, b, c, d, L = parts
+        value = Scalar.from_ints(a, b, L)
+        return CScalar(value, Scalar.from_ints(c, d, L)) if self.is_complex else value
 
 
 def _eliminate(field, A, p, w, full_rank):
@@ -258,9 +248,10 @@ def _eliminate(field, A, p, w, full_rank):
 
 
 def _rebuild(field, kept):
-    """Exact components (a, b, c, d) of every free-column entry from its
-    residues mod the kept primes, joined by the Chinese remainder theorem
-    and reconstructed mod their product M with the bound sqrt(M/2)."""
+    """Every free-column entry as ints (a, b, c, d, L) over the lcm L of
+    its components' denominators, from its residues mod the kept primes,
+    joined by the Chinese remainder theorem and reconstructed mod their
+    product M with the bound sqrt(M/2)."""
     M = prod(p for p, _ in kept)
     bound = isqrt(M // 2)
     crt = [(M // p * pow(M // p, -1, p), res) for p, res in kept]
@@ -268,24 +259,25 @@ def _rebuild(field, kept):
     for f in kept[0][1]:
         parts[f] = entries = {}
         for c in {c for _, res in crt for c in res[f]}:
-            out = [0, 0, 0, 0]
-            for i, k in enumerate(field.comps):
-                u = sum(e * res[f][c][i] for e, res in crt if c in res[f])
-                out[k] = _reconstruct(u % M, M, bound)
-            entries[c] = out
+            ratios = [_reconstruct(sum(e * res[f][c][i] for e, res in crt if c in res[f]) % M,
+                                   M, bound) for i in range(len(field.comps))]
+            entries[c] = out = [0, 0, 0, 0, lcm(*(d for _, d in ratios))]
+            for k, (n, d) in zip(field.comps, ratios):
+                out[k] = n * (out[4] // d)
     return parts
 
 
 def _certify(field, A, pivots, columns):
     """Check A[:, f] == sum_c x_c A[:, c] exactly for every free column f
-    with its rebuilt entries {pivot column c: parts of x_c}.  Each row is
-    scaled to integer components and only its nonzero entries are read."""
+    with its rebuilt entries {pivot column c: parts of x_c}.  Each row and
+    column is scaled by the lcm of its L's to integers, and only the
+    nonzero entries of a row are read."""
     piv_set = set(pivots)
     rows = []
     for row in A:
         parts = {c: field.parts[x] for c, x in enumerate(row) if x}
-        scale = lcm(*(int(q.denominator) for p in parts.values() for q in p))
-        ints = {c: [int(q * scale) for q in p] for c, p in parts.items()}
+        scale = lcm(*(p[4] for p in parts.values()))
+        ints = {c: [t * (scale // p[4]) for t in p[:4]] for c, p in parts.items()}
         terms = []  # per component: pivot columns and values
         for k in field.comps:
             pairs = [(c, v[k]) for c, v in ints.items() if v[k] and c in piv_set]
@@ -294,13 +286,13 @@ def _certify(field, A, pivots, columns):
         rows.append((ints, terms))
     n = len(A[0])
     for f, entries in columns.items():
-        scale = lcm(*(int(q.denominator) for p in entries.values() for q in p))
+        scale = lcm(*(p[4] for p in entries.values()))
         w = {}
         for k in field.comps:
             if any(p[k] for p in entries.values()):
                 w[k] = [0] * n
                 for c, p in entries.items():
-                    w[k][c] = int(p[k] * scale)
+                    w[k][c] = p[k] * (scale // p[4])
         for ints, terms in rows:
             target = ints.get(f)
             acc = [-scale * t for t in target] if target else [0, 0, 0, 0]

@@ -15,6 +15,9 @@ from fractions import Fraction
 from .scalars import Frozen
 
 
+_FLAG_TEXTS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 class CharData(Frozen):
     """Characteristic data of a closed oriented 8-manifold: Pontrjagin
     pairings p1^2[M] and p2[M], the Euler number, the signature, and the
@@ -66,26 +69,29 @@ class CharData(Frozen):
 
     @classmethod
     def from_mapping(cls, items):
-        """Build from a str->value mapping (values may be strings)."""
+        """Build from a str->value mapping.  An integer field takes an int
+        (not a bool) or the text of one; a flag takes a bool, 0, 1 or the
+        text true/false, yes/no or 1/0.  Anything else, a float included,
+        raises ValueError naming the field."""
         kw = {}
         for key, v in items.items():
             if key not in cls.__slots__:
                 raise KeyError(f"unknown CharData field {key!r}")
             if key in ("p1_squared_M", "p2_M", "euler_M", "signature"):
                 try:
-                    kw[key] = int(v)
+                    value = int(v) if isinstance(v, str) else v
                 except ValueError:
-                    raise ValueError(f"bad integer for {key}: {v!r}") from None
+                    value = None
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"bad integer for {key}: {v!r}")
             else:
                 if isinstance(v, str):
-                    low = v.strip().lower()
-                    if low in ("true", "1", "yes"):
-                        v = True
-                    elif low in ("false", "0", "no"):
-                        v = False
-                    else:
-                        raise ValueError(f"bad boolean for {key}: {v!r}")
-                kw[key] = bool(v)
+                    value = _FLAG_TEXTS.get(v.strip().lower())
+                else:  # a bool, 0 or 1
+                    value = bool(v) if isinstance(v, int) and v in (0, 1) else None
+                if value is None:
+                    raise ValueError(f"bad boolean for {key}: {v!r}")
+            kw[key] = value
         return cls(**kw)
 
     def as_dict(self):

@@ -9,7 +9,6 @@ center dimension of the extracted bracket.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -224,10 +223,8 @@ def _field_value(parts, den):
     """(re + re' r3 + (im + im' r3) i)/den as a Scalar, or a CScalar when
     its imaginary part is not zero."""
     re, re3, im, im3 = parts
-    value = Scalar(Fraction(re, den), Fraction(re3, den))
-    if im or im3:
-        return CScalar(value, Scalar(Fraction(im, den), Fraction(im3, den)))
-    return value
+    value = Scalar.from_ints(re, re3, den)
+    return CScalar(value, Scalar.from_ints(im, im3, den)) if im or im3 else value
 
 
 class BracketTable(Frozen):
@@ -408,6 +405,10 @@ def _l2_params(b):
     K is symmetric, so tr K^2 is the sum of the squares of its entries.
     """
     tr2 = sum_scalar(x * x for row in b.killing_form() for x in row if x)
+    if type(tr2) is CScalar:  # a complex form: only a real tr K^2 gives norms in the field
+        if tr2.im:
+            raise OrbitError("ideal norms fall outside the scalar field")
+        tr2 = tr2.re
     s4t4 = tr2 / 12
     # s^2, t^2 are roots of x^2 - x + (1 - (s^4+t^4))/2
     prod = (ONE - s4t4) / 2

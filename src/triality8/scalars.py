@@ -91,6 +91,16 @@ class Scalar(Frozen):
         ints a, b, x, y and L > 0; a Scalar has x = y = 0."""
         return self.p, self.q, 0, 0, self.d
 
+    @staticmethod
+    def from_ints(p, q, d):
+        """The Scalar (p + q r3)/d for ints p, q and d > 0, in normal form:
+        from_ints(a, b, L) inverts numerators() = (a, b, 0, 0, L)."""
+        if not type(p) is type(q) is type(d) is int:
+            raise TypeError("from_ints takes ints")
+        if d <= 0:
+            raise ValueError("from_ints takes a denominator d > 0")
+        return _make(p, q, d)
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -3,6 +3,7 @@ import pytest
 from triality8 import frames as fr
 from triality8 import linalg as la
 from triality8 import torsion as to
+from triality8.claims import frame
 from triality8.exterior import Multivector, blades_of_grade
 from triality8.scalars import ONE, SQRT3, Scalar
 from triality8.structures import l2_vector
@@ -48,17 +49,29 @@ def test_nilmanifold_geometry(nil, rho):
         assert fr.ricci_constraint(ric, "PSU3", chi).is_zero()
 
 
-def test_nilmanifold_torsion(nil, rho):
-    T = fr.intrinsic_torsion(nil, "PSU3")
-    assert not T.is_zero()
-    assert to.dhat(T) == fr.coframe_d(rho, nil)
-    assert to.dstar_hat(T) == -fr.codifferential(rho, nil)
+def _harmonic_by_matrix(T):
+    """Membership the matrix way: the g-perp coordinates of the projected
+    slots, in the nullspace of the stacked matrices of dhat and dstar_hat."""
     gk = to.gkind("PSU3")
     M = la.transpose([list(b) for b in gk.gperp.basis])
-    coords = []
-    for a in T.projected().slots:
-        coords.extend(la.solve(M, l2_vector(a)))
-    assert to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords)
+    coords = [c for x in la.solve(M, *(l2_vector(a) for a in T.projected().slots)) for c in x]
+    return to.kernel_analysis("PSU3")["harmonic_kernel"].contains(coords)
+
+
+def test_nilmanifold_torsion(nil, rho):
+    """nil.torsion applies dhat and dstar_hat to T; the kernel of the
+    stacked operator matrices gives the same answer, on T and off it."""
+    T = fr.intrinsic_torsion(nil, "PSU3")
+    assert not T.is_zero()
+    assert T.projected() == T
+    assert to.dhat(T) == fr.coframe_d(rho, nil)
+    assert to.dstar_hat(T) == -fr.codifferential(rho, nil)
+    other = to.TorsionTensor.simple("PSU3", e(2), e(1, 8) * 3).projected()
+    assert not other.is_zero()
+    for X, harmonic in ((T, True), (T * 2, True), (other, False), (T + other, False)):
+        by_operators = to.dhat(X).is_zero() and to.dstar_hat(X).is_zero()
+        assert by_operators == _harmonic_by_matrix(X) == harmonic
+    assert frame.nil_torsion() == "ok"
 
 
 def test_intrinsic_torsion_computes_each_image_once(nil, monkeypatch):

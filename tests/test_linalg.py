@@ -211,6 +211,27 @@ def test_solve_many_equals_solve_each(field, data):
     assert got[0] is not None and got[2] is None and got[3] is None
 
 
+@pytest.mark.parametrize("field", sorted(ELEMENTS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_elimination_reads_integer_numerators(field, data):
+    """The certified path reads each entry through numerators() only: with
+    Scalar.a and Scalar.b made to raise, its answers equal the rref oracle."""
+    A = data.draw(matrices(field))
+    vectors = la.transpose(A)
+    b = la.mat_vec(A, [data.draw(ELEMENTS["Q(r3)"]) for _ in A[0]])
+    want = (ref_rank(A), ref_nullspace(A), ref_solve(A, b), ref_column_space_basis(vectors))
+
+    def refuse(self):
+        raise AssertionError("a rational part was read")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "a", property(refuse))
+        mp.setattr(Scalar, "b", property(refuse))
+        got = (la.rank(A), la.nullspace(A), la.solve(A, b), la.column_space_basis(vectors))
+    assert got == want
+
+
 # small primes = 1 (mod 12) with a primitive 12th root of unity: unlucky
 # primes, pivot lists that disagree and an exhausted list are all common
 SMALL_PRIMES = ((13, 2), (37, 8), (61, 21), (73, 3), (97, 6))

@@ -78,3 +78,20 @@ def test_chardata_validation():
     assert d.p1_squared_M == 960 and d.spin is False
     with pytest.raises(ValueError):
         ob.CharData.from_mapping({"spin": "maybe"})
+
+
+def test_from_mapping_refuses_inexact_values():
+    """A value from_mapping cannot read exactly raises ValueError naming its
+    field: a float is not truncated, and a flag is not any truthy value."""
+    for items in ({"p2_M": 240.7, "p1_squared_M": 960.2}, {"p1_squared_M": 960.0},
+                  {"signature": True}, {"euler_M": "2.5"}, {"euler_M": None},
+                  {"spin": 2}, {"spin": 1.0}, {"spin": None}, {"spin": "maybe"}):
+        key = next(iter(items))
+        with pytest.raises(ValueError, match=f"for {key}: "):
+            ob.CharData.from_mapping(items)
+    d = ob.CharData.from_mapping({"p1_squared_M": 960, "p2_M": " 240 ", "euler_M": "-2",
+                                  "spin": 0, "p1_div_by_6": True, "w4_squared_zero": " No ",
+                                  "w_classes_vanish_except_w4": 1})
+    assert d.as_dict() == {"p1_squared_M": 960, "p2_M": 240, "euler_M": -2, "signature": 0,
+                           "p1_div_by_6": True, "w_classes_vanish_except_w4": True,
+                           "w4_squared_zero": False, "spin": False}

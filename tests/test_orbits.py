@@ -391,6 +391,22 @@ def test_l2_params_against_dense_trace():
         assert (hi, lo) == (Scalar(3) / 4, Scalar(1) / 4)
 
 
+def test_complex_l2_forms_classify():
+    """tr K^2 of a complex L2 form arrives as a CScalar: a real one gives
+    the ideal norms, and one that is not real is refused."""
+    want = OrbitClass("L2_su2su2_u1", "preserving", (Scalar(3) / 4, Scalar(1) / 4))
+    assert orbit_classify(_L2.complexify()) == orbit_classify(_L2) == want
+    # unit under the bilinear norm: (i r3)^2 + 2^2 = 1
+    w = e(1, 2, 3) * (I * SQRT3) + e(4, 5, 6) * 2
+    assert orbit_classify(w) == OrbitClass("L2_su2su2_u1", "preserving", (Scalar(4), Scalar(-3)))
+    # s = 2m/(1 + m^2), t = (1 - m^2)/(1 + m^2) at m = 1 + i: s^4 + t^4 is not real
+    m2 = (ONE + I) * (ONE + I)
+    v = e(1, 2, 3) * ((ONE + I) * 2 / (m2 + 1)) + e(4, 5, 6) * ((ONE - m2) / (m2 + 1))
+    assert is_supersymmetric(v)
+    with pytest.raises(OrbitError, match="ideal norms fall outside the scalar field"):
+        orbit_classify(v)
+
+
 def test_killing_form_takes_no_matrix_products(rho, monkeypatch):
     """killing_form and _l2_params read the constants only: they call
     neither la.mat_mul nor BracketTable.ad."""

@@ -331,6 +331,32 @@ def test_sqrt_follows_the_pair_formulas(u):
             assert _ref(r) == want
 
 
+@given(wide_rationals, wide_rationals, st.integers(1, 10**6))
+def test_from_ints_inverts_numerators(u, v, k):
+    """from_ints(a, b, L) is the Scalar whose numerators() are (a, b, 0, 0,
+    L); a triple that is not reduced normalizes to the same value and hash
+    as the Fraction pair it stands for."""
+    x = Scalar(u, v)
+    a, b, c, e, L = x.numerators()
+    assert (c, e) == (0, 0) and Scalar.from_ints(a, b, L) == x
+    y = Scalar.from_ints(a * k, b * k, L * k)
+    _check_normal(y)
+    assert y == x == Scalar(Fraction(a * k, L * k), Fraction(b * k, L * k))
+    assert hash(y) == hash(x)
+    z = CScalar(x, x * 3 + 1)
+    a, b, c, e, L = z.numerators()
+    assert CScalar(Scalar.from_ints(a, b, L), Scalar.from_ints(c, e, L)) == z
+
+
+def test_from_ints_refuses_inexact_input():
+    for args in ((1.0, 0, 1), (1, 0, 1.0), (True, 0, 1), (Fraction(1), 0, 1)):
+        with pytest.raises(TypeError):
+            Scalar.from_ints(*args)
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            Scalar.from_ints(1, 0, d)
+
+
 def test_normal_form_examples():
     assert (Scalar(0).p, Scalar(0).q, Scalar(0).d) == (0, 0, 1)
     x = Scalar(Fraction(1, 2), Fraction(1, 3))
