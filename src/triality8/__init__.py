@@ -7,9 +7,10 @@ differential geometry, characteristic-class predicates, and a claim-based
 verification CLI.
 
 Importing the package runs none of its submodules: each public name below
-is resolved from its submodule on first use (PEP 562).  The front end and
-the claim registry hold the other submodules through ``lazy``, so a
-process runs only the modules its command uses.
+is resolved from its submodule on first use (PEP 562).  The front end,
+the claim registry and the submodules that call another one only inside
+functions hold it through ``lazy``, so a process runs only the modules
+its command uses.
 """
 
 import importlib

@@ -23,9 +23,12 @@ Spinor slots: D+ = coordinates 1..8, D- = 9..16.
 
 from __future__ import annotations
 
-from . import linalg as la
-from .exterior import Multivector, blades_of_grade, indices_of
+from . import lazy
 from .scalars import Frozen, Scalar, half
+
+# run when first used: the generator tables need neither
+ex = lazy("exterior")
+la = lazy("linalg")
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -236,7 +239,7 @@ _IDENTITY = tuple((r, 1) for r in range(16))
 def _kappa_blade(mask):
     """kappa(e_I) = kappa(e_i1) ... kappa(e_ik) as a signed permutation."""
     perm = _IDENTITY
-    for i in indices_of(mask):
+    for i in ex.indices_of(mask):
         g = _GENERATORS[i]
         perm = tuple((g[c][0], s * g[c][1]) for c, s in perm)
     return perm
@@ -289,15 +292,15 @@ def _pair_classes():
             chi *= s
         # the 4-set I xor J -> (K, the sign that turns eps into the class sign)
         to_class = {}
-        for k in blades_of_grade(4):
+        for k in ex.blades_of_grade(4):
             if k < 255 ^ k:
                 to_class[k] = (k, 1)
-                to_class[255 ^ k] = (k, chi if sum(indices_of(k)) % 2 else -chi)
-        threes = blades_of_grade(3)
+                to_class[255 ^ k] = (k, chi if sum(ex.indices_of(k)) % 2 else -chi)
+        threes = ex.blades_of_grade(3)
         for x, m in enumerate(threes):
             # bits b of the indices below an odd number of indices of m,
             # so that (-1)^#{a in m, b in n: a > b} = (-1)^|above & n|
-            lo, mid, hi = indices_of(m)
+            lo, mid, hi = ex.indices_of(m)
             above = (1 << lo - 1) - 1 | (1 << hi - 1) - (1 << mid - 1)
             for n in threes[x + 1:]:
                 shared = m & n
@@ -435,7 +438,7 @@ def vector_action_matrix(a):
     """The 8x8 matrix of Z |-> a * Z on Lambda^1 (exterior.act2)."""
     M = la.zeros(8, 8)
     for j in range(8):
-        w = a.act2(Multivector.blade(j + 1))
+        w = a.act2(ex.Multivector.blade(j + 1))
         for i in range(8):
             M[i][j] = w.coeff(i + 1)
     return M

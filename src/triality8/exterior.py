@@ -7,7 +7,7 @@ positive volume form.
 
 from __future__ import annotations
 
-from .scalars import CScalar, Frozen, ParseError, Scalar, _join, _Reader, _signed_terms
+from .scalars import CScalar, Frozen, ParseError, Scalar, _join, _Reader, _signed_terms, half
 
 N = 8
 VOLUME = (1 << N) - 1
@@ -193,8 +193,6 @@ class Multivector(Frozen):
         extra 1/2, normalized so the Kaehler 2-forms of the canonical
         quaternionic 4-form are 5-eigenvectors of . -| Omega.
         """
-        from .scalars import half
-
         for m in self.terms:
             for m2 in other.terms:
                 if grade(m) > grade(m2):

@@ -13,13 +13,16 @@ reproduces the structure equations verbatim.
 
 from __future__ import annotations
 
-from . import linalg as la
-from .clifford import Spinor, blade_apply
+from . import lazy
 from .exterior import Multivector, antiderivation, indices_of, mask_of
-from .orbits import bracket_from_form
 from .scalars import Frozen, Scalar, half
-from .structures import canonical_rho, invariant_form, sigma_canonical
-from .torsion import TorsionTensor, _form_action, gkind
+
+# run when first used: a connection on the catalog frames needs none of them
+cf = lazy("clifford")
+la = lazy("linalg")
+orb = lazy("orbits")
+st = lazy("structures")
+to = lazy("torsion")
 
 ZERO = Scalar(0)
 
@@ -180,7 +183,7 @@ def ricci(F):
 
 def harmonic_check(F, kind):
     """(d gamma = 0, d * gamma = 0) for the canonical invariant form."""
-    gamma, _ = invariant_form(kind)
+    gamma, _ = st.invariant_form(kind)
     return (
         coframe_d(gamma, F).is_zero(),
         coframe_d(gamma.star(), F).is_zero(),
@@ -189,10 +192,10 @@ def harmonic_check(F, kind):
 
 def intrinsic_torsion(F, kind):
     """The unique T in Lambda^1 (x) g-perp with nabla gamma = T(gamma)."""
-    gk = gkind(kind)
+    gk = to.gkind(kind)
     gamma = gk.gamma
     nab = nabla_form(gamma, F)
-    images = [_form_action(b, gamma).terms for b in gk.gperp_forms]
+    images = [to._form_action(b, gamma).terms for b in gk.gperp_forms]
     masks = sorted({m for img in images for m in img})
     M = la.transpose([[img.get(m, ZERO) for m in masks] for img in images])
     xs = la.solve(M, *([w.terms.get(m, ZERO) for m in masks] for w in nab))
@@ -205,21 +208,21 @@ def intrinsic_torsion(F, kind):
             if coef:
                 s = s + b * coef
         slots.append(s)
-    return TorsionTensor(kind, slots)
+    return to.TorsionTensor(kind, slots)
 
 
 def ricci_constraint(ric, kind, chirality="+"):
     """The spinor sum_{i,j} Ric_ij e_i . sigma(e_j); its vanishing is the
     integrability constraint on the Ricci tensor."""
-    sigma = sigma_canonical(kind, chirality)
+    sigma = st.sigma_canonical(kind, chirality)
     src = sigma.target
     dst = "-" if src == "+" else "+"
     out = [ZERO] * 8
     for i in range(8):
         # e_i . sum_j Ric_ij sigma(e_j)
-        img = blade_apply(1 << i, dst, src, la.mat_vec(sigma.matrix, ric[i]))
+        img = cf.blade_apply(1 << i, dst, src, la.mat_vec(sigma.matrix, ric[i]))
         out = [x + y for x, y in zip(out, img)]
-    return Spinor(dst, out)
+    return cf.Spinor(dst, out)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -242,7 +245,7 @@ def catalog(name, x0=None):
     sqrt(x0^3) in the scalar field."""
     e = Multivector.blade
     if name == "su3_biinvariant":
-        b = bracket_from_form(canonical_rho())
+        b = orb.bracket_from_form(st.canonical_rho())
         brackets = {
             (i, j): Multivector(
                 {1 << (k - 1): b.coeff(i, j, k) for k in range(1, 9)}

@@ -56,7 +56,10 @@ class CharData(Frozen):
             "w4_squared_zero",
             "spin",
         ):
-            object.__setattr__(self, name, bool(locals()[name]))
+            v = locals()[name]
+            if not isinstance(v, bool):
+                raise TypeError(f"{name} must be a bool")
+            object.__setattr__(self, name, v)
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)}" for n in self.__slots__)

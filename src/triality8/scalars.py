@@ -9,16 +9,38 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-try:  # gmpy2.mpq speeds up the boundary rationals (.a, .b, parsing)
-    from gmpy2 import mpq as _Rational  # pragma: no cover
-except ImportError:
-    _Rational = Fraction
-_RATIONALS = (int, Fraction, _Rational)
 _SQRT3 = 1.7320508075688772935274463415058723669
 _HASH_MODULUS = sys.hash_info.modulus
+
+# The rational backend (gmpy2.mpq if installed, else fractions.Fraction) and
+# the exact rational types besides int, resolved by _rationals() on first
+# use: values are built from ints, so a process that reads no rational part
+# and is handed no Fraction never imports fractions.
+_Rational = None
+_RATIONALS = ()
+
+
+def _rationals():
+    """The exact rational types, imported now if this is the first use."""
+    global _Rational, _RATIONALS
+    if not _RATIONALS:
+        from fractions import Fraction
+
+        try:  # gmpy2.mpq speeds up the boundary rationals (.a, .b)
+            from gmpy2 import mpq as backend  # pragma: no cover
+        except ImportError:
+            backend = Fraction
+        _Rational, _RATIONALS = backend, (int, Fraction, backend)
+    return _RATIONALS
+
+
+def _rational(n, d):
+    """The rational n/d in the backend's type."""
+    if _Rational is None:
+        _rationals()
+    return _Rational(n, d)
 
 
 def _parts(x):
@@ -26,7 +48,7 @@ def _parts(x):
     refused, not rounded."""
     if type(x) is int:
         return x, 1
-    if isinstance(x, _RATIONALS):
+    if isinstance(x, _RATIONALS or _rationals()):
         return int(x.numerator), int(x.denominator)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
@@ -80,11 +102,11 @@ class Scalar(Frozen):
 
     @property
     def a(self):
-        return _Rational(self.p, self.d)
+        return _rational(self.p, self.d)
 
     @property
     def b(self):
-        return _Rational(self.q, self.d)
+        return _rational(self.q, self.d)
 
     def numerators(self):
         """(a, b, x, y, L): the value as (a + b r3 + (x + y r3) i)/L with
@@ -284,7 +306,9 @@ def _coerce(x):
         return x
     if type(x) is int:
         return _new(x, 0, 1)
-    if isinstance(x, _RATIONALS):
+    if isinstance(x, Frozen):  # a CScalar, say: refused without the backend
+        return None
+    if isinstance(x, _RATIONALS or _rationals()):
         return _new(int(x.numerator), 0, int(x.denominator))
     return None
 
@@ -292,18 +316,14 @@ def _coerce(x):
 def _rational_sqrt(q):
     if q < 0:
         return None
-    f = Fraction(q)
-    n, d = f.numerator, f.denominator
-    rn, rd = _isqrt(n), _isqrt(d)
+    rn, rd = _isqrt(int(q.numerator)), _isqrt(int(q.denominator))
     if rn is None or rd is None:
         return None
-    return _Rational(rn, rd)
+    return _rational(rn, rd)
 
 
 def _isqrt(n):
-    import math
-
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None
 
 
@@ -437,11 +457,13 @@ I = CScalar(Scalar(0), Scalar(1))
 
 
 def half(n=1):
-    return Scalar(_Rational(n, 2))
+    """n/2 for an int n."""
+    return _make(n, 0, 2)
 
 
 def quarter(n=1):
-    return Scalar(_Rational(n, 4))
+    """n/4 for an int n."""
+    return _make(n, 0, 4)
 
 
 def complexify(s):
@@ -515,8 +537,8 @@ class _Reader:
         if not d:
             raise ParseError("zero denominator", at)
         self.next()
-        q = _Rational(-n if negative else n, d)
-        value = Scalar(0, q) if self.take("r3") else Scalar(q)
+        n = -n if negative else n
+        value = _make(0, n, d) if self.take("r3") else _make(n, 0, d)
         return CScalar(ZERO, value) if self.take("i") else value
 
     def scalar(self):
@@ -544,10 +566,19 @@ def _signed_terms(s):
     """The nonzero terms of a Scalar or CScalar in print order, as
     (negative, text of the magnitude) pairs."""
     if isinstance(s, CScalar):
-        parts = ((s.re.a, ""), (s.re.b, " r3"), (s.im.a, " i"), (s.im.b, " r3 i"))
+        re, im = s.re, s.im
+        parts = ((re.p, re.d, ""), (re.q, re.d, " r3"), (im.p, im.d, " i"),
+                 (im.q, im.d, " r3 i"))
     else:
-        parts = ((s.a, ""), (s.b, " r3"))
-    return [(c < 0, f"{abs(c)}{suffix}") for c, suffix in parts if c]
+        parts = ((s.p, s.d, ""), (s.q, s.d, " r3"))
+    return [(n < 0, _ratio_text(abs(n), d) + suffix) for n, d, suffix in parts if n]
+
+
+def _ratio_text(n, d):
+    """The rational n/d in lowest terms as 'n' or 'n/d', as Fraction prints
+    it; n >= 0 and d > 0 are ints."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _join(terms):

@@ -11,8 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from . import linalg as la
-from .clifford import SpinorMap
+from . import lazy
 from .exterior import (
     Multivector,
     antiderivation,
@@ -23,6 +22,10 @@ from .exterior import (
     to_vector,
 )
 from .scalars import Frozen, I, SQRT3, Scalar, half, quarter
+
+# run when first used: the calibration claims need neither
+cf = lazy("clifford")
+la = lazy("linalg")
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -383,7 +386,7 @@ def sigma_canonical(kind, chirality):
         M = _SIGMA_SP_PLUS
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return SpinorMap(M, "v", "-" if chirality == "+" else "+")
+    return cf.SpinorMap(M, "v", "-" if chirality == "+" else "+")
 
 
 # -- calibrations ----------------------------------------------------------

@@ -19,8 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
+from . import lazy
 from . import linalg as la
-from .clifford import SpinorMap, act2_svf, blade_apply, form_to_map, mu
 from .exterior import (
     Multivector,
     blades_of_grade,
@@ -42,6 +42,9 @@ from .structures import (
     projection_columns,
     sigma_canonical,
 )
+
+# run when first used: the form-side operators (dhat, dstar_hat) need no spinors
+cf = lazy("clifford")
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -244,9 +247,9 @@ def Dhat(T, chirality="+"):
         a = _project_slot(T.kind, a)
         if a.is_zero():
             continue
-        term = blade_apply(1 << i, dst, src, act2_svf(a, sigma).matrix)
+        term = cf.blade_apply(1 << i, dst, src, cf.act2_svf(a, sigma).matrix)
         total = term if total is None else la.mat_add(total, term)
-    return SpinorMap(total if total is not None else la.zeros(8, 8), "v", dst)
+    return cf.SpinorMap(total if total is not None else la.zeros(8, 8), "v", dst)
 
 
 # -- the operator L on 3-forms (quaternionic geometry) ---------------------
@@ -263,7 +266,7 @@ def _l3_images(kind, chirality, target):
     sigma = sigma_canonical(kind, chirality)
     out = []
     for mask in _L3_MASKS:
-        img = blade_apply(mask, target, sigma.target, sigma.matrix)
+        img = cf.blade_apply(mask, target, sigma.target, sigma.matrix)
         out.append((mask, tuple((r, i, img[r][i]) for i in range(8)
                                 for r in range(8) if img[r][i])))
     return tuple(out)
@@ -324,14 +327,14 @@ def _l_columns():
     e_j (x) e_ik + e_k (x) e_ij from one act2_svf per basis 2-form."""
     sigma = sigma_canonical("SP1SP2", "+")
     src, dst = sigma.target, "-" if sigma.target == "+" else "+"
-    svf = {m: act2_svf(_project_slot("SP1SP2", Multivector({m: ONE})), sigma).matrix
+    svf = {m: cf.act2_svf(_project_slot("SP1SP2", Multivector({m: ONE})), sigma).matrix
            for m in L2_MASKS}
     cols = []
     for mask in _L3_MASKS:
         i, j, k = indices_of(mask)
-        D = la.mat_sub(blade_apply(1 << (i - 1), dst, src, svf[mask_of((j, k))]),
-                       blade_apply(1 << (j - 1), dst, src, svf[mask_of((i, k))]))
-        D = la.mat_add(D, blade_apply(1 << (k - 1), dst, src, svf[mask_of((i, j))]))
+        D = la.mat_sub(cf.blade_apply(1 << (i - 1), dst, src, svf[mask_of((j, k))]),
+                       cf.blade_apply(1 << (j - 1), dst, src, svf[mask_of((i, k))]))
+        D = la.mat_add(D, cf.blade_apply(1 << (k - 1), dst, src, svf[mask_of((i, j))]))
         L = _pair_to_l3(D, _l3_images("SP1SP2", "+", dst)) * _l_scale()
         cols.append(to_vector(L, _L3_MASKS))
     return cols
@@ -372,9 +375,9 @@ def _operator_columns(kind):
     cols_D = {}
     for c in gk.chiralities:
         sigma = sigma_canonical(kind, c)
-        svfs = [act2_svf(a, sigma).matrix for a in slots]
+        svfs = [cf.act2_svf(a, sigma).matrix for a in slots]
         dst = "-" if sigma.target == "+" else "+"
-        cols_D[c] = [list(chain.from_iterable(blade_apply(1 << i, dst, sigma.target, S)))
+        cols_D[c] = [list(chain.from_iterable(cf.blade_apply(1 << i, dst, sigma.target, S)))
                      for i in range(8) for S in svfs]
     return cols_d, cols_ds, cols_D
 
@@ -412,10 +415,10 @@ def kernel_analysis(kind):
 def _rho_block(source):
     """The invariant map between the two spinor blocks induced by the
     3-form, in the classical entrywise scale (4 x the Clifford block)."""
-    R = la.mat_scale(form_to_map(canonical_rho()).matrix, Scalar(4))
+    R = la.mat_scale(cf.form_to_map(canonical_rho()).matrix, Scalar(4))
     if source == "-":
-        return SpinorMap(R, "-", "+")
-    return SpinorMap(la.transpose(R), "+", "-")
+        return cf.SpinorMap(R, "-", "+")
+    return cf.SpinorMap(la.transpose(R), "+", "-")
 
 
 @lru_cache(maxsize=None)
@@ -437,8 +440,8 @@ def z_constants():
     slots = [Multivector.zero() for _ in range(8)]
     slots[0] = _project_slot10(e(1, 8)) * (SQRT3 * 2 * I)
     T = TorsionTensor("PSU3", slots)
-    sp = mu(Dhat(T, "-"))
-    sm = mu(Dhat(T, "+"))
+    sp = cf.mu(Dhat(T, "-"))
+    sm = cf.mu(Dhat(T, "+"))
     mapped = la.mat_vec(_rho_block(sm.chirality).matrix, sm.coords)
     try:
         return la.common_ratio(z22_pairs), la.common_ratio(zip(sp.coords, mapped))

@@ -82,6 +82,55 @@ def test_stabilizer_claim_runs_no_torsion_module():
     assert "claims" in ran and _areas(ran) == {"claims.stab"}
 
 
+def test_calibration_claim_runs_no_linear_algebra():
+    ran, code = _cli("verify", "calib.equality", "--format", "json")
+    assert code == 0
+    assert "structures" in ran
+    assert not ran & {"linalg", "clifford"}
+
+
+def test_frame_connection_claim_runs_no_orbit_or_torsion_module():
+    ran, code = _cli("verify", "frame.salamon_nabla", "--format", "json")
+    assert code == 0
+    assert "frames" in ran
+    assert not ran & {"orbits", "torsion"}
+
+
+def _rational_modules_after(code):
+    """fractions and decimal, as far as code imports them in a fresh
+    interpreter."""
+    return _fresh("before = set(sys.modules)\n" + code +
+                  "out = sorted({'fractions', 'decimal'} & set(sys.modules) - before)\n")[1]
+
+
+def test_fractions_load_on_first_use():
+    """Values are built from ints: the scalars module, and a claim that
+    prints no rational part, import neither fractions nor decimal."""
+    assert _rational_modules_after("import triality8.scalars\n") == []
+    assert _rational_modules_after(
+        "from triality8 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'stab.rho', '--format', 'json']) == 0\n") == []
+
+
+def test_rational_backend_resolves_at_each_first_use():
+    """Each entry that needs the rational backend resolves it, when it is
+    the first to run in the process."""
+    for first_use, want in (
+        ("str(Scalar(1, 3).b)", "3"),
+        ("str(Scalar(Fraction(1, 3)))", "1/3"),
+        ("str(Scalar(1) + Fraction(1, 2))", "3/2"),
+        ("str(Scalar(7, 4).sqrt())", "2 + 1 r3"),
+        ("type(Scalar(2).a).__name__ in ('Fraction', 'mpq')", True),
+    ):
+        _, out = _fresh(
+            "from triality8.scalars import Scalar\n"
+            "loaded = 'fractions' in sys.modules\n"
+            "from fractions import Fraction\n"
+            f"out = [loaded, {first_use}]\n")
+        assert out == [False, want], first_use
+
+
 def test_list_claims_runs_no_area_module():
     ran, code = _cli("list-claims")
     assert code == 0

@@ -72,6 +72,10 @@ def test_lift_implies_necessary_on_shared_items(p1q, p2, eul, div6):
 def test_chardata_validation():
     with pytest.raises(TypeError):
         ob.CharData(p1_squared_M="3")
+    # a flag takes a bool only: no text, and no truthy int or float
+    for name, value in (("spin", "false"), ("p1_div_by_6", 2), ("w4_squared_zero", 0.5)):
+        with pytest.raises(TypeError, match=f"^{name} must be a bool$"):
+            ob.CharData(**{name: value})
     with pytest.raises(KeyError):
         ob.CharData.from_mapping({"bogus": 1})
     d = ob.CharData.from_mapping({"p1_squared_M": "960", "spin": "false"})

@@ -39,6 +39,9 @@ def test_basic_constants():
     assert SQRT3 * SQRT3 == Scalar(3)
     assert half() + half() == ONE
     assert quarter() * 4 == ONE
+    # built from ints, equal to the values built through Fraction
+    assert half(3) == Scalar(Fraction(3, 2)) and quarter(-1) == Scalar(Fraction(-1, 4))
+    assert quarter(2) == half() and (quarter(2).p, quarter(2).d) == (1, 2)
     assert I * I == CScalar(Scalar(-1))
 
 
@@ -118,6 +121,7 @@ def test_specific_square_roots():
 
 def test_parse_examples():
     assert parse_scalar("-3/4 r3") == SQRT3 * Fraction(-3, 4)
+    assert parse_scalar("3/6 r3 - 2/4") == Scalar(Fraction(-2, 4), Fraction(3, 6))
     z = parse_scalar("1/8 + 1/8 r3 i")
     assert isinstance(z, CScalar)
     assert z.re == Scalar(1) / 8 and z.im == SQRT3 / 8
@@ -142,10 +146,15 @@ def test_scalar_grammar():
 
 
 def test_exact_constructors_reject_float():
-    for make in (lambda: Scalar(0.1), lambda: Scalar(1, 0.5), lambda: CScalar(0.5)):
+    for make in (lambda: Scalar(0.1), lambda: Scalar(0.5), lambda: Scalar(1, 0.5),
+                 lambda: CScalar(0.5)):
         with pytest.raises(TypeError, match="float"):
             make()
-    assert Scalar(Fraction(1, 3)).a == Fraction(1, 3)
+    # the rational backend: Fraction, or gmpy2's mpq when it is installed
+    third = Scalar(Fraction(1, 3)).a
+    assert third == Fraction(1, 3) and type(third).__name__ in ("Fraction", "mpq")
+    assert Scalar(True) == ONE and Scalar(False, True) == SQRT3
+    assert Scalar(1) + Fraction(1, 2) == Fraction(1, 2) + Scalar(1) == Scalar(Fraction(3, 2))
 
 
 def _representations(q, r):
