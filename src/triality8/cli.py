@@ -78,7 +78,7 @@ def cmd_classify(args, out):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {args.file}: {err}", file=sys.stderr)
         return 2
     try:

@@ -347,7 +347,9 @@ def l_spectrum():
     out = {}
     total = 0
     for lam in (2, 12, 20):
-        A = la.mat_sub(M, la.mat_scale(la.identity(56), Scalar(lam)))
+        A = [row[:] for row in M]
+        for i in range(56):
+            A[i][i] -= lam
         dim = len(la.nullspace(A))
         out[lam] = dim
         total += dim
@@ -385,27 +387,36 @@ def _operator_columns(kind):
 @lru_cache(maxsize=None)
 def kernel_analysis(kind):
     """Exact ranks and kernels of the three operators on a basis of
-    Lambda^1 (x) g-perp, plus the harmonic/Dirac kernel comparison."""
+    Lambda^1 (x) g-perp, plus the harmonic/Dirac kernel comparison.
+
+    For SP1SP2 the harmonic kernel is ker dhat and the Dirac kernel is
+    ker Dhat+, so their ranks are read off the two nullspaces.  A kernel
+    determines the unique RREF of its matrix, and la.nullspace reads its
+    basis off that RREF, so two kernels are equal exactly when their
+    bases are the same list."""
     gk = gkind(kind)
     cols_d, cols_ds, cols_D = _operator_columns(kind)
+    n = len(cols_d)
     M_d, M_ds = la.transpose(cols_d), la.transpose(cols_ds)
-    out = {"domain_dim": len(cols_d), "dhat_rank": la.rank(M_d),
-           "dstar_rank": la.rank(M_ds)}
     D_mats = {c: la.transpose(cols_D[c]) for c in gk.chiralities}
-    for c in gk.chiralities:
-        out[f"dirac{c}_kernel_dim"] = len(cols_d) - la.rank(D_mats[c])
     if kind == "PSU3":
         harmonic = Subspace("torsion", la.nullspace(M_d + M_ds))
         dirac = Subspace("torsion", la.nullspace(D_mats["+"] + D_mats["-"]))
+        d_rank = la.rank(M_d)
+        dirac_dims = {c: n - la.rank(D_mats[c]) for c in gk.chiralities}
     else:
         harmonic = Subspace("torsion", la.nullspace(M_d))
         dirac = Subspace("torsion", la.nullspace(D_mats["+"]))
+        d_rank = n - harmonic.dim
+        dirac_dims = {"+": dirac.dim}
+    out = {"domain_dim": n, "dhat_rank": d_rank, "dstar_rank": la.rank(M_ds)}
+    for c in gk.chiralities:
+        out[f"dirac{c}_kernel_dim"] = dirac_dims[c]
     out["harmonic_kernel"] = harmonic
     out["dirac_kernel"] = dirac
     out["harmonic_dim"] = harmonic.dim
     out["dirac_dim"] = dirac.dim
-    joint = la.column_space_basis(harmonic.basis + dirac.basis)
-    out["kernels_equal"] = harmonic.dim == dirac.dim and len(joint) == harmonic.dim
+    out["kernels_equal"] = harmonic.basis == dirac.basis
     return out
 
 

@@ -110,6 +110,11 @@ def test_classify(tmp_path, capsys):
     rc, _, err = run(capsys, "classify", str(tmp_path / "missing.txt"))
     assert rc == 2
 
+    # a file that is not UTF-8 is unreadable, as a missing one is
+    f.write_bytes(b"e123 + \xff e145")
+    rc, _, err = run(capsys, "classify", str(f))
+    assert rc == 2 and err.startswith(f"cannot read {f}:")
+
 
 def test_example_reports(capsys):
     rc, out, _ = run(capsys, "example", "psu3_nilmanifold", "--check",

@@ -152,6 +152,41 @@ def matrices(draw, field):
     return mat(m, n)
 
 
+@st.composite
+def kernel_pairs(draw):
+    """(A, B) over Q(r3) with the same number of columns.  About half the
+    time B = P A for an invertible P, with a combination of the rows of A
+    appended or not, so that A and B have the same kernel."""
+    elem = ELEMENTS["Q(r3)"]
+    A = draw(matrices("Q(r3)"))
+    m, n = len(A), len(A[0])
+    if not draw(st.booleans()):
+        return A, [[draw(elem) for _ in range(n)] for _ in range(draw(st.integers(1, 6)))]
+    # P = L U with unit diagonals, rows permuted, has determinant +-1
+    L = [[ONE if i == j else draw(elem) if i > j else ZERO for j in range(m)]
+         for i in range(m)]
+    U = [[ONE if i == j else draw(elem) if i < j else ZERO for j in range(m)]
+         for i in range(m)]
+    LU = la.mat_mul(L, U)
+    B = la.mat_mul([LU[i] for i in draw(st.permutations(range(m)))], A)
+    if draw(st.booleans()):
+        B.append(la.mat_vec(la.transpose(A), [draw(elem) for _ in range(m)]))
+    return A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_pairs())
+def test_equal_kernels_have_identical_nullspace_bases(pair):
+    """A kernel determines the RREF of its matrix, and nullspace reads its
+    basis off that RREF, so the bases are the same list exactly when they
+    span the same space."""
+    A, B = pair
+    NA, NB = la.nullspace(A), la.nullspace(B)
+    same = la.same_span(NA, NB)
+    event("equal kernels" if same else "different kernels")
+    assert (NA == NB) == same
+
+
 def record_moduli(monkeypatch):
     """The modulus of every elimination mod a prime from now on."""
     moduli = []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -482,3 +483,19 @@ def test_calibration_maxima_matches_per_kind_oracle():
                 kind: _calibration_sample_oracle(kind, n, seed)
                 for kind, n in counts.items()
             }
+
+
+def test_calibration_maxima_holds_one_block():
+    """The Gaussian stream is drawn a block at a time, so the peak of the
+    claim's 10,000 samples per kind is within a few KB of that of 10."""
+    def peak(n):
+        tracemalloc.start()
+        try:
+            calibration_maxima({"PSU3": n, "SP1SP2": n})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    calibration_maxima({"PSU3": 10, "SP1SP2": 10})  # fill the form caches
+    small, large = peak(10), peak(10000)
+    assert large - small < 4096, (small, large)

@@ -159,6 +159,23 @@ def test_kernel_analysis_sp():
     assert ka["kernels_equal"]
 
 
+@pytest.mark.parametrize("kind", ["PSU3", "SP1SP2"])
+def test_kernel_analysis_matches_direct_eliminations(kind):
+    """The reported ranks equal la.rank of the operator matrices, and
+    kernels_equal equals the joint column-space test: two kernels of the
+    same dimension are equal when their bases together span no more."""
+    ka = to.kernel_analysis(kind)
+    cols_d, cols_ds, cols_D = to._operator_columns(kind)
+    n = len(cols_d)
+    assert ka["dhat_rank"] == la.rank(la.transpose(cols_d))
+    assert ka["dstar_rank"] == la.rank(la.transpose(cols_ds))
+    for c, cols in cols_D.items():
+        assert ka[f"dirac{c}_kernel_dim"] == n - la.rank(la.transpose(cols))
+    H, D = ka["harmonic_kernel"], ka["dirac_kernel"]
+    joint = la.column_space_basis(H.basis + D.basis)
+    assert ka["kernels_equal"] == (H.dim == D.dim and len(joint) == H.dim)
+
+
 def test_kernel_analysis_psu3():
     ka = to.kernel_analysis("PSU3")
     assert ka["domain_dim"] == 160
