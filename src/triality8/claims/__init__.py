@@ -351,10 +351,11 @@ def select_claims(pattern="all"):
     return [REGISTRY[i] for i in claim_ids() if fnmatch.fnmatch(i, pattern)]
 
 
-def run_claims(pattern="all", seed=DEFAULT_SEED):
-    """(reports, exit_code): 0 if all pass, 1 otherwise; the caller is
-    responsible for treating an empty selection as a usage error."""
-    reports = [run_claim(c, seed=seed) for c in select_claims(pattern)]
+def run_claims(claims, seed=DEFAULT_SEED):
+    """(reports, exit_code) of the selected claims: 0 if all pass, 1
+    otherwise; the caller is responsible for treating an empty selection as
+    a usage error."""
+    reports = [run_claim(c, seed=seed) for c in claims]
     code = 0 if all(r.status == "pass" for r in reports) else 1
     return reports, code
 

@@ -58,7 +58,7 @@ def cmd_verify(args, out):
         print(f"no claims match pattern {args.pattern!r}", file=sys.stderr)
         return 2
     seed = cl.DEFAULT_SEED if args.seed is None else args.seed
-    reports, code = cl.run_claims(args.pattern, seed=seed)
+    reports, code = cl.run_claims(selected, seed=seed)
     if args.format == "json":
         json.dump(_reports_json(reports), out, indent=2, default=str)
         out.write("\n")

@@ -44,15 +44,6 @@ def _triple_table():
 _TRIPLES = _triple_table()
 
 
-def coeff3(rho, i, j, k):
-    """Fully antisymmetric coefficient rho_{ijk} for arbitrary index order."""
-    sign, _, mask = _TRIPLES[i, j, k]
-    if not sign:
-        return ZERO
-    c = rho.terms.get(mask, ZERO)
-    return c if sign > 0 else -c
-
-
 def jac(rho, tau):
     """The 4-form Jac(rho (x) tau), the Jacobi obstruction.
 
@@ -345,20 +336,13 @@ def lie_classify(b):
         K = b.killing_form()
         G = [
             [
-                sum_scalar(x * y2 for x, y2 in zip(la.mat_vec(K, v), w))
+                sum((x * y2 for x, y2 in zip(la.mat_vec(K, v), w)), ZERO)
                 for w in derived
             ]
             for v in derived
         ]
         reductive = derived_dim == 0 or bool(la.det(G))
     return center_dim, derived_dim, reductive
-
-
-def sum_scalar(items):
-    s = ZERO
-    for x in items:
-        s = s + x
-    return s
 
 
 class OrbitClass(Frozen):
@@ -404,7 +388,7 @@ def _l2_params(b):
     other, with s^2 + t^2 = 1; tr K^2 = 12 (s^4 + t^4) pins the pair.
     K is symmetric, so tr K^2 is the sum of the squares of its entries.
     """
-    tr2 = sum_scalar(x * x for row in b.killing_form() for x in row if x)
+    tr2 = sum((x * x for row in b.killing_form() for x in row if x), ZERO)
     if type(tr2) is CScalar:  # a complex form: only a real tr K^2 gives norms in the field
         if tr2.im:
             raise OrbitError("ideal norms fall outside the scalar field")

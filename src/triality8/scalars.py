@@ -14,33 +14,14 @@ from math import gcd, isqrt
 _SQRT3 = 1.7320508075688772935274463415058723669
 _HASH_MODULUS = sys.hash_info.modulus
 
-# The rational backend (gmpy2.mpq if installed, else fractions.Fraction) and
-# the exact rational types besides int, resolved by _rationals() on first
-# use: values are built from ints, so a process that reads no rational part
-# and is handed no Fraction never imports fractions.
-_Rational = None
-_RATIONALS = ()
 
+def _fraction():
+    """fractions.Fraction, imported here on first use: values are built from
+    ints, so a process that reads no rational part (``.a``, ``.b``) and is
+    handed no Fraction never imports fractions."""
+    from fractions import Fraction
 
-def _rationals():
-    """The exact rational types, imported now if this is the first use."""
-    global _Rational, _RATIONALS
-    if not _RATIONALS:
-        from fractions import Fraction
-
-        try:  # gmpy2.mpq speeds up the boundary rationals (.a, .b)
-            from gmpy2 import mpq as backend  # pragma: no cover
-        except ImportError:
-            backend = Fraction
-        _Rational, _RATIONALS = backend, (int, Fraction, backend)
-    return _RATIONALS
-
-
-def _rational(n, d):
-    """The rational n/d in the backend's type."""
-    if _Rational is None:
-        _rationals()
-    return _Rational(n, d)
+    return Fraction
 
 
 def _parts(x):
@@ -48,7 +29,7 @@ def _parts(x):
     refused, not rounded."""
     if type(x) is int:
         return x, 1
-    if isinstance(x, _RATIONALS or _rationals()):
+    if isinstance(x, int) or isinstance(x, _fraction()):
         return int(x.numerator), int(x.denominator)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
@@ -86,7 +67,7 @@ class Scalar(Frozen):
 
     p, q, d are ints with d > 0 and gcd(p, q, d) = 1, so every value has
     one representation (zero is (0, 0, 1)) and equality is structural.
-    ``a`` and ``b`` give the rational parts in the backend's type.
+    ``a`` and ``b`` give the rational parts as ``fractions.Fraction``.
     """
 
     __slots__ = ("p", "q", "d")
@@ -102,11 +83,11 @@ class Scalar(Frozen):
 
     @property
     def a(self):
-        return _rational(self.p, self.d)
+        return _fraction()(self.p, self.d)
 
     @property
     def b(self):
-        return _rational(self.q, self.d)
+        return _fraction()(self.q, self.d)
 
     def numerators(self):
         """(a, b, x, y, L): the value as (a + b r3 + (x + y r3) i)/L with
@@ -235,40 +216,36 @@ class Scalar(Frozen):
         return self.p / self.d + self.q / self.d * _SQRT3
 
     def sqrt(self):
-        """Exact square root inside Q(r3), or None if there is none."""
+        """Exact square root inside Q(r3), the one of sign >= 0, or None if
+        there is none; taken on the ints p, q, d.
+
+        With P = p d and Q = q d the value is (P + Q r3)/d^2, and a root
+        (u + v r3)/d has u^2 + 3 v^2 = P and 2 u v = Q: u^2 and 3 v^2 are
+        the roots (P +- n)/2 of t^2 - P t + 3 Q^2/4, n^2 = P^2 - 3 Q^2.  So
+        u = w/2 with w^2 = 2m for m = P + n or P - n, and v = Q/w; when
+        Q = 0 and no m gives u != 0, u = 0 and 3 v^2 = P.
+        """
         if self.sign() < 0:
             return None
-        a, b = self.a, self.b
-        if b == 0:
-            r = _rational_sqrt(a)
-            if r is not None:
-                return Scalar(r, 0)
-            r = _rational_sqrt(a / 3)
-            if r is not None:
-                return Scalar(0, r)
+        d = self.d
+        P, Q = self.p * d, self.q * d
+        n = _isqrt(P * P - 3 * Q * Q)
+        if n is None:
             return None
-        # (p + q r3)^2 = p^2+3q^2 + 2pq r3: solve for rational p, q
-        # p^2 is a root of x^2 - a x + 3 (b/2)^2 = 0
-        disc = a * a - 3 * b * b
-        d = _rational_sqrt(disc)
-        if d is None:
+        # P >= 0 here (P < 0 < x forces 3 Q^2 > P^2), so both m are >= 0
+        for m in (P + n, P - n):
+            w = _isqrt(2 * m)
+            if w:
+                # (w/2 + (Q/w) r3)/d = (w^2 + 2 Q r3)/(2 w d)
+                root = _make(w * w, 2 * Q, 2 * w * d)
+                return -root if root.sign() < 0 else root
+        if Q:
             return None
-        for p2 in ((a + d) / 2, (a - d) / 2):
-            if p2 < 0:
-                continue
-            p = _rational_sqrt(p2)
-            if p is not None and p != 0:
-                q = b / (2 * p)
-                cand = Scalar(p, q)
-                if cand * cand == self and cand.sign() >= 0:
-                    return cand
-                cand = -cand
-                if cand * cand == self and cand.sign() >= 0:
-                    return cand
-        return None
+        r = _isqrt(3 * P)
+        return None if r is None else _make(0, r, 3 * d)
 
     def __repr__(self):
-        return f"Scalar({self.a}, {self.b})"
+        return f"Scalar({_ratio_text(self.p, self.d)}, {_ratio_text(self.q, self.d)})"
 
     def __str__(self):
         return format_scalar(self)
@@ -306,23 +283,17 @@ def _coerce(x):
         return x
     if type(x) is int:
         return _new(x, 0, 1)
-    if isinstance(x, Frozen):  # a CScalar, say: refused without the backend
+    if isinstance(x, Frozen):  # a CScalar, say: refused before fractions loads
         return None
-    if isinstance(x, _RATIONALS or _rationals()):
+    if isinstance(x, int) or isinstance(x, _fraction()):
         return _new(int(x.numerator), 0, int(x.denominator))
     return None
 
 
-def _rational_sqrt(q):
-    if q < 0:
-        return None
-    rn, rd = _isqrt(int(q.numerator)), _isqrt(int(q.denominator))
-    if rn is None or rd is None:
-        return None
-    return _rational(rn, rd)
-
-
 def _isqrt(n):
+    """The int square root of an int n, or None if n is not a square."""
+    if n < 0:
+        return None
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -576,7 +547,7 @@ def _signed_terms(s):
 
 def _ratio_text(n, d):
     """The rational n/d in lowest terms as 'n' or 'n/d', as Fraction prints
-    it; n >= 0 and d > 0 are ints."""
+    it; n and d > 0 are ints."""
     g = gcd(n, d)
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 

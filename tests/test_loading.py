@@ -104,24 +104,31 @@ def _rational_modules_after(code):
 
 
 def test_fractions_load_on_first_use():
-    """Values are built from ints: the scalars module, and a claim that
-    prints no rational part, import neither fractions nor decimal."""
+    """Values are built from ints: the scalars module, an exact square root,
+    a bool operand and a claim that prints no rational part import neither
+    fractions nor decimal, also the claims that take square roots."""
     assert _rational_modules_after("import triality8.scalars\n") == []
     assert _rational_modules_after(
-        "from triality8 import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', 'stab.rho', '--format', 'json']) == 0\n") == []
+        "from triality8.scalars import Scalar\n"
+        "assert str(Scalar(7, 4).sqrt()) == '2 + 1 r3'\n"
+        "assert Scalar(True) + False == 1\n") == []
+    for claim in ("stab.rho", "frame.gh", "orbit.classify_mixed"):
+        assert _rational_modules_after(
+            "from triality8 import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['verify', '{claim}', '--format', 'json']) == 0\n") == [], claim
 
 
 def test_rational_backend_resolves_at_each_first_use():
-    """Each entry that needs the rational backend resolves it, when it is
-    the first to run in the process."""
+    """Each entry that reads or takes a Fraction imports fractions when it
+    is the first to run in the process; a square root, which needs none,
+    works first as well."""
     for first_use, want in (
         ("str(Scalar(1, 3).b)", "3"),
         ("str(Scalar(Fraction(1, 3)))", "1/3"),
         ("str(Scalar(1) + Fraction(1, 2))", "3/2"),
         ("str(Scalar(7, 4).sqrt())", "2 + 1 r3"),
-        ("type(Scalar(2).a).__name__ in ('Fraction', 'mpq')", True),
+        ("type(Scalar(2).a) is Fraction", True),
     ):
         _, out = _fresh(
             "from triality8.scalars import Scalar\n"
@@ -220,9 +227,8 @@ def test_single_tensor_operators_build_no_gkind():
 
 def test_package_imports_no_third_party_module():
     """Importing every submodule adds no top-level module outside the
-    standard library, the package itself and the optional gmpy2.  The
-    snapshot is taken after start-up, because site .pth files may import
-    packages of their own."""
+    standard library and the package itself.  The snapshot is taken after
+    start-up, because site .pth files may import packages of their own."""
     _, out = _fresh(
         "import importlib, pkgutil\n"
         "before = set(sys.modules)\n"
@@ -234,5 +240,5 @@ def test_package_imports_no_third_party_module():
     )
     names, added = out
     assert {"triality8.torsion", "triality8.cli", "triality8.claims.frame"} <= set(names)
-    allowed = set(sys.stdlib_module_names) | {"triality8", "gmpy2"}
+    allowed = set(sys.stdlib_module_names) | {"triality8"}
     assert [n for n in added if n not in allowed] == []

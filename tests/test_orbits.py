@@ -17,7 +17,6 @@ from triality8.orbits import (
     OrbitError,
     _l2_params,
     bracket_from_form,
-    coeff3,
     gamma,
     is_supersymmetric,
     jac,
@@ -41,6 +40,15 @@ def form_from_bracket(b):
     if n is None:
         raise OrbitError("norm falls outside the scalar field")
     return rho * n.inverse()
+
+
+def coeff3(rho, i, j, k):
+    """Fully antisymmetric coefficient rho_{ijk} for arbitrary index order."""
+    sign, _, mask = _TRIPLES[i, j, k]
+    if not sign:
+        return ZERO
+    c = rho.terms.get(mask, ZERO)
+    return c if sign > 0 else -c
 
 
 def rand3(rng, n=4):

@@ -117,6 +117,14 @@ def test_specific_square_roots():
     assert Scalar(7, 4).sqrt() == Scalar(2, 1)
     assert Scalar(2).sqrt() is None
     assert Scalar(-1).sqrt() is None
+    # u = 0 over a denominator: 1/12 = (r3/6)^2
+    assert Scalar(Fraction(1, 12)).sqrt() == Scalar(0, Fraction(1, 6))
+    # only m = P - n gives a square 2m: 13 + 4 r3 = (1 + 2 r3)^2
+    assert Scalar(13, 4).sqrt() == Scalar(1, 2)
+    # a square discriminant 4 - 3 = 1, but neither 2m = 6 nor 2 is a square
+    assert Scalar(2, 1).sqrt() is None
+    # a discriminant 16 - 3 = 13 that is not a square
+    assert Scalar(4, 1).sqrt() is None
 
 
 def test_parse_examples():
@@ -150,9 +158,9 @@ def test_exact_constructors_reject_float():
                  lambda: CScalar(0.5)):
         with pytest.raises(TypeError, match="float"):
             make()
-    # the rational backend: Fraction, or gmpy2's mpq when it is installed
+    # the rational parts are Fractions
     third = Scalar(Fraction(1, 3)).a
-    assert third == Fraction(1, 3) and type(third).__name__ in ("Fraction", "mpq")
+    assert third == Fraction(1, 3) and type(third) is Fraction
     assert Scalar(True) == ONE and Scalar(False, True) == SQRT3
     assert Scalar(1) + Fraction(1, 2) == Fraction(1, 2) + Scalar(1) == Scalar(Fraction(3, 2))
 
@@ -338,6 +346,13 @@ def test_sqrt_follows_the_pair_formulas(u):
         if r is not None:
             _check_normal(r)
             assert _ref(r) == want
+
+
+@given(model_pairs)
+def test_repr_prints_the_rational_parts(u):
+    """repr reads the ints, and prints what the Fraction parts print."""
+    x = Scalar(*u)
+    assert repr(x) == f"Scalar({x.a}, {x.b})"
 
 
 @given(wide_rationals, wide_rationals, st.integers(1, 10**6))
