@@ -81,8 +81,8 @@ class Multivector(Frozen):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def blade(cls, *indices, coeff=ONE):
-        return cls({mask_of(indices): coeff})
+    def blade(cls, *indices):
+        return cls({mask_of(indices): ONE})
 
     @classmethod
     def zero(cls):

@@ -20,7 +20,6 @@ from .scalars import Frozen, Scalar, half
 # run when first used: a connection on the catalog frames needs none of them
 cf = lazy("clifford")
 la = lazy("linalg")
-orb = lazy("orbits")
 st = lazy("structures")
 to = lazy("torsion")
 
@@ -34,9 +33,9 @@ class FrameError(ValueError):
 class FrameAlgebra(Frozen):
     """Structure coefficients of an orthonormal frame."""
 
-    __slots__ = ("brackets", "constant_structure", "note")
+    __slots__ = ("brackets", "constant_structure")
 
-    def __init__(self, brackets, constant_structure=True, note=""):
+    def __init__(self, brackets, constant_structure=True):
         cleaned = {}
         for (i, j), v in brackets.items():
             if not (1 <= i < j <= 8):
@@ -47,7 +46,6 @@ class FrameAlgebra(Frozen):
                 cleaned[(i, j)] = v
         object.__setattr__(self, "brackets", cleaned)
         object.__setattr__(self, "constant_structure", bool(constant_structure))
-        object.__setattr__(self, "note", note)
 
     def bracket(self, i, j):
         """[e_i, e_j] as a grade-1 multivector."""
@@ -60,21 +58,6 @@ class FrameAlgebra(Frozen):
     def c(self, i, j, k):
         """c_ijk = g([e_i, e_j], e_k)."""
         return self.bracket(i, j).coeff(k)
-
-    def jacobi_holds(self):
-        from itertools import combinations
-
-        for i, j, k in combinations(range(1, 9), 3):
-            s = Multivector.zero()
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                w = self.bracket(a, b)
-                for t in range(1, 9):
-                    v = w.coeff(t)
-                    if v:
-                        s = s + self.bracket(t, c) * v
-            if s:
-                return False
-        return True
 
     @property
     def d_images(self):
@@ -105,40 +88,11 @@ def codifferential(alpha, F):
     return -(coframe_d(alpha.star(), F).star())
 
 
-class Connection(Frozen):
-    """Metric-compatible connection: nabla_{e_i} acts on Lambda^1 as the
-    2-form A_i = sum_{j<k} Gamma_ijk e_j ^ e_k (derivation action)."""
-
-    __slots__ = ("forms",)
-
-    def __init__(self, forms):
-        fs = tuple(forms)
-        if len(fs) != 8 or any(not a.is_homogeneous(2) for a in fs):
-            raise FrameError("need 8 connection 2-forms")
-        object.__setattr__(self, "forms", fs)
-
-    def gamma(self, i, j, k):
-        """Coefficient of e_k in nabla_{e_i} e_j."""
-        if j == k:
-            return ZERO
-        v = self.forms[i - 1].coeff(*sorted((j, k)))
-        return v if j < k else -v
-
-    def nabla_vec(self, i, j):
-        return self.forms[i - 1].act2(Multivector.blade(j))
-
-    def matrix(self, i):
-        """8x8 matrix of nabla_{e_i} on Lambda^1."""
-        M = la.zeros(8, 8)
-        for j in range(1, 9):
-            w = self.nabla_vec(i, j)
-            for k in range(1, 9):
-                M[k - 1][j - 1] = w.coeff(k)
-        return M
-
-
 def levi_civita(F):
-    """Koszul formula Gamma_ijk = (c_ijk + c_kij + c_kji)/2."""
+    """The Levi-Civita connection as its eight 2-forms (A_1, ..., A_8):
+    nabla_{e_i} acts on Lambda^1 as A_i = sum_{j<k} Gamma_ijk e_j ^ e_k
+    (derivation action act2), with Gamma_ijk = g(nabla_{e_i} e_j, e_k)
+    from the Koszul formula Gamma_ijk = (c_ijk + c_kij + c_kji)/2."""
     h = half()
     forms = []
     for i in range(1, 9):
@@ -149,35 +103,39 @@ def levi_civita(F):
                 if g:
                     terms[mask_of((j, k))] = g
         forms.append(Multivector(terms))
-    return Connection(forms)
+    return tuple(forms)
 
 
 def nabla_form(alpha, F):
     """Slotwise covariant derivative: slot i holds nabla_{e_i} alpha."""
-    conn = levi_civita(F)
-    return [conn.forms[i].act2(alpha) for i in range(8)]
+    return [a.act2(alpha) for a in levi_civita(F)]
 
 
 def ricci(F):
     """The Ricci tensor Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) as an exact
-    symmetric 8x8 matrix; constant structure coefficients only."""
+    symmetric 8x8 matrix; constant structure coefficients only.
+
+    act2 of a 2-form on a 2-form is the bracket of so(8), so R(e_i, e_a)
+    acts on Lambda^1 as the curvature 2-form C = [A_i, A_a] - sum_k
+    c_iak A_k, and Ric_ab = sum_{i != a} C_bi, where C_bi is the signed
+    coefficient of e_b ^ e_i, that is minus the e_b-coefficient of
+    e_i -| C."""
     if not F.constant_structure:
         raise FrameError("Ricci requires constant structure coefficients")
-    conn = levi_civita(F)
-    N = [conn.matrix(i) for i in range(1, 9)]
-    ric = la.zeros(8, 8)
+    A = levi_civita(F)
+    ric = []
     for a in range(1, 9):
+        row = Multivector.zero()
         for i in range(1, 9):
             if i == a:
                 continue
-            R = la.mat_sub(la.mat_mul(N[i - 1], N[a - 1]),
-                           la.mat_mul(N[a - 1], N[i - 1]))
+            C = A[i - 1].act2(A[a - 1])
             for k in range(1, 9):
                 v = F.c(i, a, k)
                 if v:
-                    R = la.mat_sub(R, la.mat_scale(N[k - 1], v))
-            for b in range(1, 9):
-                ric[a - 1][b - 1] = ric[a - 1][b - 1] + R[i - 1][b - 1]
+                    C = C - A[k - 1] * v
+            row = row - Multivector.blade(i).contract(C)
+        ric.append([row.coeff(b) for b in range(1, 9)])
     return ric
 
 
@@ -245,15 +203,10 @@ def catalog(name, x0=None):
     sqrt(x0^3) in the scalar field."""
     e = Multivector.blade
     if name == "su3_biinvariant":
-        b = orb.bracket_from_form(st.canonical_rho())
-        brackets = {
-            (i, j): Multivector(
-                {1 << (k - 1): b.coeff(i, j, k) for k in range(1, 9)}
-            )
-            for i in range(1, 9)
-            for j in range(i + 1, 9)
-        }
-        F = FrameAlgebra(brackets)
+        # the structure constants are rho_ijk: de^k = -(e_k -| rho)
+        rho = st.canonical_rho()
+        F = FrameAlgebra(_brackets_from_structure_eqs(
+            {k: -(e(k).contract(rho)) for k in range(1, 9)}))
         expected = {
             "kind": "PSU3",
             "harmonic": (True, True),
@@ -303,7 +256,6 @@ def catalog(name, x0=None):
                 (6, 7): e(7) * (s * h),
             },
             constant_structure=False,
-            note=f"structure coefficients frozen at x = {x0}",
         )
         expected = {"kind": "PSU3", "harmonic": (True, True), "parallel": False}
         return F, "PSU3", expected

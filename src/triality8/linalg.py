@@ -350,10 +350,10 @@ def rank(A):
     return len(_reduced(A, rank_only=True)[0])
 
 
-def nullspace(A, ncols=None):
+def nullspace(A):
     """Basis of the right kernel, as a list of column vectors."""
     if not A:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols or 0)]
+        return []
     _, columns = _reduced(A)
     cols = len(A[0])
     basis = []

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from triality8 import clifford as cf
 from triality8 import frames as fr
 from triality8 import linalg as la
 from triality8 import torsion as to
 from triality8.claims import frame
 from triality8.exterior import Multivector, blades_of_grade
+from triality8.orbits import bracket_from_form
 from triality8.scalars import ONE, SQRT3, Scalar
 from triality8.structures import l2_vector
 
@@ -18,7 +22,6 @@ def nil():
 
 def test_structure_equations(nil):
     assert fr.coframe_d(e(8), nil) == e(4, 7) + e(5, 6)
-    assert nil.jacobi_holds()
     for k in range(9):
         for m in blades_of_grade(k):
             dd = fr.coframe_d(fr.coframe_d(Multivector({m: ONE}), nil), nil)
@@ -26,15 +29,75 @@ def test_structure_equations(nil):
 
 
 def test_levi_civita_properties(nil):
-    conn = fr.levi_civita(nil)
+    A = fr.levi_civita(nil)
     for i in range(1, 9):
         for j in range(1, 9):
-            for k in range(1, 9):
-                assert conn.gamma(i, j, k) == -conn.gamma(i, k, j)
-            w = conn.nabla_vec(i, j) - conn.nabla_vec(j, i) - nil.bracket(i, j)
+            w = A[i - 1].act2(e(j)) - A[j - 1].act2(e(i)) - nil.bracket(i, j)
             assert w.is_zero()
-    assert conn.nabla_vec(7, 4) == e(8) * (ONE / 2)
-    assert conn.nabla_vec(8, 4) == e(7) * (ONE / 2)
+    assert A[6].act2(e(4)) == e(8) * (ONE / 2)
+    assert A[7].act2(e(4)) == e(7) * (ONE / 2)
+
+
+def _ricci_by_matrices(F):
+    """The oracle: N_i is the matrix of A_i on Lambda^1, R(e_i, e_a) =
+    N_i N_a - N_a N_i - sum_k c_iak N_k, and Ric_ab = sum_{i != a} R_ib."""
+    N = [cf.vector_action_matrix(a) for a in fr.levi_civita(F)]
+    ric = la.zeros(8, 8)
+    for a in range(1, 9):
+        for i in range(1, 9):
+            if i == a:
+                continue
+            R = la.mat_sub(la.mat_mul(N[i - 1], N[a - 1]),
+                           la.mat_mul(N[a - 1], N[i - 1]))
+            for k in range(1, 9):
+                v = F.c(i, a, k)
+                if v:
+                    R = la.mat_sub(R, la.mat_scale(N[k - 1], v))
+            for b in range(1, 9):
+                ric[a - 1][b - 1] = ric[a - 1][b - 1] + R[i - 1][b - 1]
+    return ric
+
+
+def _is_lie(F):
+    """d^2 = 0 on the coframe: the Jacobi identity for constant structure."""
+    return all(fr.coframe_d(fr.coframe_d(e(k), F), F).is_zero() for k in range(1, 9))
+
+
+def _random_frames(rng):
+    """Constant frames: almost abelian (e_1 acting on the other seven) and
+    2-step nilpotent (brackets into e_7, e_8) Lie algebras, and sparse
+    random brackets, which break Jacobi."""
+    def coef():
+        return Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) / rng.randint(1, 3)
+
+    def vec(lo):
+        return sum((e(k) * coef() for k in range(lo, 9)), Multivector.zero())
+
+    for _ in range(4):
+        yield fr.FrameAlgebra({(1, j): vec(2) for j in range(2, 9)})
+        yield fr.FrameAlgebra({(i, j): vec(7)
+                               for i in range(1, 7) for j in range(i + 1, 7)
+                               if rng.random() < 0.5})
+    for _ in range(12):
+        pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+        yield fr.FrameAlgebra({p: vec(1) for p in rng.sample(pairs, 6)})
+
+
+def test_ricci_matches_the_matrix_formula():
+    """Ricci from the curvature 2-forms equals the matrix product formula
+    in all 64 entries, Lie or not."""
+    frames = [fr.catalog(name)[0]
+              for name in ("su3_biinvariant", "psu3_nilmanifold", "salamon_sp1sp2")]
+    frames += list(_random_frames(random.Random(7)))
+    lie = [_is_lie(F) for F in frames]
+    assert all(lie[:11]) and not any(lie[11:])
+    off_diagonal = 0
+    for F, is_lie in zip(frames, lie):
+        ric = fr.ricci(F)
+        assert ric == _ricci_by_matrices(F)
+        assert ric == la.transpose(ric) or not is_lie
+        off_diagonal += sum(1 for i in range(8) for j in range(8) if i != j and ric[i][j])
+    assert off_diagonal
 
 
 def test_nilmanifold_geometry(nil, rho):
@@ -101,7 +164,13 @@ def test_ricci_constraint_rank():
 
 def test_su3_biinvariant(rho):
     F, _, _ = fr.catalog("su3_biinvariant")
-    assert F.jacobi_holds()
+    assert _is_lie(F)
+    # the brackets, signs included, are those read off rho by orbits
+    b = bracket_from_form(rho)
+    for i in range(1, 9):
+        for j in range(1, 9):
+            for k in range(1, 9):
+                assert F.c(i, j, k) == b.coeff(i, j, k)
     assert all(a.is_zero() for a in fr.nabla_form(rho, F))
     assert la.mat_eq(fr.ricci(F), la.mat_scale(la.identity(8), Scalar(3) / 16))
     assert fr.harmonic_check(F, "PSU3") == (True, True)
@@ -113,14 +182,14 @@ def test_salamon_frame():
     assert kind == "SP1SP2"
     assert fr.coframe_d(e(4), F) == e(1, 5)
     assert fr.coframe_d(e(6), F) == e(1, 3)
-    conn = fr.levi_civita(F)
+    A = fr.levi_civita(F)
     h = ONE / 2
-    assert conn.nabla_vec(3, 1) == e(6) * h
-    assert conn.nabla_vec(4, 1) == e(5) * h
-    assert conn.nabla_vec(5, 1) == e(4) * h
-    assert conn.nabla_vec(6, 1) == e(3) * h
-    assert conn.nabla_vec(1, 3) == e(6) * (-h)
-    assert conn.nabla_vec(6, 3) == e(1) * (-h)
+    assert A[2].act2(e(1)) == e(6) * h
+    assert A[3].act2(e(1)) == e(5) * h
+    assert A[4].act2(e(1)) == e(4) * h
+    assert A[5].act2(e(1)) == e(3) * h
+    assert A[0].act2(e(3)) == e(6) * (-h)
+    assert A[5].act2(e(3)) == e(1) * (-h)
     ric = fr.ricci(F)
     assert [ric[i][i] for i in range(8)] == [
         Scalar(-1), Scalar(0), Scalar(-1) / 2, Scalar(1) / 2,

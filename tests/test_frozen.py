@@ -13,7 +13,7 @@ import triality8
 from triality8.claims import REGISTRY, ClaimReport
 from triality8.clifford import Spinor, SpinorMap
 from triality8.exterior import Multivector
-from triality8.frames import Connection, FrameAlgebra
+from triality8.frames import FrameAlgebra
 from triality8.obstructions import CharData
 from triality8.orbits import BracketTable, OrbitClass
 from triality8.scalars import ONE, CScalar, Frozen, Scalar
@@ -36,8 +36,7 @@ INSTANCES = {
     "RootData": lambda: roots("PSU3"),
     "GKind": lambda: gkind("SP1SP2"),
     "TorsionTensor": lambda: TorsionTensor.simple("PSU3", e(2), e(1, 8) * 3),
-    "FrameAlgebra": lambda: FrameAlgebra({(1, 2): e(3), (2, 3): -e(1)}, note="so3"),
-    "Connection": lambda: Connection([e(1, 2) * k for k in range(8)]),
+    "FrameAlgebra": lambda: FrameAlgebra({(1, 2): e(3), (2, 3): -e(1)}),
     "CharData": lambda: CharData(p1_squared_M=4, signature=1, spin=False),
     "Claim": lambda: REGISTRY["torsion.z22"],
     "ClaimReport": lambda: ClaimReport("a.b", "anchor", "pass", "ok", "ok", 3),

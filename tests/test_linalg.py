@@ -26,6 +26,7 @@ def test_rank_and_nullspace():
         assert r + len(ns) == 6
         for v in ns:
             assert all(not x for x in la.mat_vec(A, list(v)))
+    assert la.nullspace([]) == []
 
 
 def test_solve_consistent_and_inconsistent():

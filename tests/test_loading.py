@@ -96,6 +96,22 @@ def test_frame_connection_claim_runs_no_orbit_or_torsion_module():
     assert not ran & {"orbits", "torsion"}
 
 
+def test_bi_invariant_frame_claim_runs_no_orbit_spinor_or_matrix_module():
+    """The bi-invariant frame takes its brackets from rho and its Ricci
+    tensor from the curvature 2-forms."""
+    ran, code = _cli("verify", "frame.su3", "--format", "json")
+    assert code == 0
+    assert "frames" in ran
+    assert not ran & {"orbits", "clifford", "linalg"}
+
+
+def test_ricci_claims_run_no_linear_algebra():
+    for claim in ("nil.ricci", "salamon.ricci"):
+        ran, code = _cli("verify", claim, "--format", "json")
+        assert code == 0
+        assert "frames" in ran and "linalg" not in ran, claim
+
+
 def _rational_modules_after(code):
     """fractions and decimal, as far as code imports them in a fresh
     interpreter."""
