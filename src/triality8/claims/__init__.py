@@ -29,6 +29,7 @@ from ..scalars import Frozen
 # the other submodules, which run when a claim first uses one of their
 # names.  The area modules take these handles from here, and each waits in
 # sys.modules once the index has run (perfbench/spans.py looks for it there)
+cal = lazy("calibration")
 cf = lazy("clifford")
 ex = lazy("exterior")
 fr = lazy("frames")

@@ -435,12 +435,17 @@ def spin_action(a, chirality):
 
 
 def vector_action_matrix(a):
-    """The 8x8 matrix of Z |-> a * Z on Lambda^1 (exterior.act2)."""
+    """The 8x8 matrix of Z |-> a * Z on Lambda^1 (exterior.act2), read off
+    the coefficients of the 2-form a: (e_k ^ e_l) * e_k = e_l and
+    (e_k ^ e_l) * e_l = -e_k, so the term a_kl e_k ^ e_l puts a_kl at
+    (l, k) and -a_kl at (k, l)."""
+    if not a.is_homogeneous(2):
+        raise ex.GradeError("act2 requires a homogeneous 2-form")
     M = la.zeros(8, 8)
-    for j in range(8):
-        w = a.act2(ex.Multivector.blade(j + 1))
-        for i in range(8):
-            M[i][j] = w.coeff(i + 1)
+    for m, c in a.terms.items():
+        k, l = ex.indices_of(m)
+        M[l - 1][k - 1] = c
+        M[k - 1][l - 1] = -c
     return M
 
 

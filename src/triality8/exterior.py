@@ -36,7 +36,7 @@ def indices_of(mask):
 
 
 def grade(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def blades_of_grade(k):
@@ -57,12 +57,21 @@ _NO_MASKS = frozenset()
 
 
 def _wedge_sign(m1, m2):
-    # (-1)^{#{(a,b): a in m1, b in m2, a > b}}
+    # (-1)^{#{(a,b): a in m1, b in m2, a > b}}, one bit of m2 at a time
     count = 0
-    for bit in range(N):
-        if m2 >> bit & 1:
-            count += bin(m1 & ~((1 << (bit + 1)) - 1)).count("1")
+    while m2:
+        low = m2 & -m2
+        count += (m1 & -(low << 1)).bit_count()
+        m2 ^= low
     return -1 if count & 1 else 1
+
+
+def _contract_sign(m1, m2):
+    """The sign s of e_ik -| (... (e_i1 -| e_m2)) = s e_{m2 - m1} for
+    m1 = {i1 < ... < ik} inside m2: each step passes e_it over the indices
+    of m2 below it that are still there, which is the sign of
+    e_m1 ^ e_{m2 - m1} = s e_m2."""
+    return _wedge_sign(m1, m2 ^ m1)
 
 
 class Multivector(Frozen):
@@ -189,25 +198,31 @@ class Multivector(Frozen):
 
         For grade-1 x this is the metric adjoint of x ^ . ; a grade-k
         contraction applies the factors of each blade e_{i1<...<ik} as
-        e_ik -| ( ... (e_i1 -| other)).  Grade-2 contraction carries an
-        extra 1/2, normalized so the Kaehler 2-forms of the canonical
-        quaternionic 4-form are 5-eigenvectors of . -| Omega.
+        e_ik -| ( ... (e_i1 -| other)), which is nonzero on a blade e_m2
+        only when m1 lies in m2 and then takes the sign of one step
+        (``_contract_sign``).  Grade-2 contraction carries an extra 1/2,
+        normalized so the Kaehler 2-forms of the canonical quaternionic
+        4-form are 5-eigenvectors of . -| Omega.  The products add into
+        one dict.
         """
-        for m in self.terms:
-            for m2 in other.terms:
-                if grade(m) > grade(m2):
-                    raise GradeError("contraction grade exceeds target grade")
-        out = Multivector.zero()
+        if self.terms and other.terms and (
+            max(map(grade, self.terms)) > min(map(grade, other.terms))
+        ):
+            raise GradeError("contraction grade exceeds target grade")
+        out = {}
         for m1, c1 in self.terms.items():
             if grade(m1) == 2:
                 c1 = c1 * half()
-            part = Multivector({m2: c1 * c2 for m2, c2 in other.terms.items()})
-            for i in indices_of(m1):
-                part = _contract1(i, part)
-                if part.is_zero():
-                    break
-            out = out + part
-        return out
+            for m2, c2 in other.terms.items():
+                if m1 & ~m2:
+                    continue
+                m = m2 ^ m1
+                c = c1 * c2
+                if _contract_sign(m1, m2) < 0:
+                    c = -c
+                s = out.get(m)
+                out[m] = c if s is None else s + c
+        return Multivector(out)
 
     def inner(self, other):
         """Orthonormal-blade inner product (bilinear, not hermitian)."""
@@ -237,15 +252,15 @@ class Multivector(Frozen):
         """Derivation action of a 2-form on a multivector.
 
         On grade 1, (X^Y)*Z = g(X,Z)Y - g(Y,Z)X; extended to Lambda^p as a
-        derivation and bilinearly in the 2-form.
+        derivation and bilinearly in the 2-form.  Every term of the 2-form
+        adds its image into one dict (``_act_ij``).
         """
         if not self.is_homogeneous(2):
             raise GradeError("act2 requires a homogeneous 2-form")
-        out = Multivector.zero()
+        out = {}
         for m, c in self.terms.items():
-            i, j = indices_of(m)
-            out = out + _act_ij(i, j, c, target)
-        return out
+            _act_ij(m, c, target.terms, out)
+        return Multivector(out)
 
     # -- formatting --------------------------------------------------------
 
@@ -256,41 +271,29 @@ class Multivector(Frozen):
         return format_form(self)
 
 
-def _contract1(i, mv):
-    """e_i -| mv for a single index i."""
-    bit = 1 << (i - 1)
-    out = {}
-    for m, c in mv.terms.items():
-        if not m & bit:
+def _act_ij(m, coeff, terms, out):
+    """Add coeff * (e_i ^ e_j) * (the multivector with these terms) into
+    out, for the blade m = {i < j}: as a derivation, e_i -> e_j and
+    e_j -> -e_i in place, each blade then reordered past the indices it
+    holds strictly between i and j."""
+    bi = m & -m
+    bj = m ^ bi
+    between = bj - (bi << 1)
+    for t, c in terms.items():
+        if t & bi:
+            if t & bj:
+                continue
+            negative = (t & between).bit_count() & 1
+        elif t & bj:
+            negative = not ((t & between).bit_count() & 1)
+        else:
             continue
-        below = bin(m & (bit - 1)).count("1")
-        out[m & ~bit] = c if below % 2 == 0 else -c
-    return Multivector(out)
-
-
-def _act_ij(i, j, coeff, target):
-    """(e_i ^ e_j) * target scaled by coeff, as a derivation."""
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    out = {}
-    for m, c in target.terms.items():
-        for src, dst in ((bi, bj), (bj, bi)):
-            if not m & src:
-                continue
-            if m & dst:
-                continue
-            # replace e_src by +-e_dst in place, keeping blade order
-            pos_src = bin(m & (src - 1)).count("1")
-            m2 = (m & ~src) | dst
-            pos_dst = bin(m2 & (dst - 1)).count("1")
-            sgn = 1 if (pos_src + pos_dst) % 2 == 0 else -1
-            if src == bj:  # (e_i^e_j)*e_j = -e_i
-                sgn = -sgn
-            val = coeff * c
-            if sgn < 0:
-                val = -val
-            s = out.get(m2)
-            out[m2] = val if s is None else s + val
-    return Multivector(out)
+        val = coeff * c
+        if negative:
+            val = -val
+        dst = t ^ m
+        s = out.get(dst)
+        out[dst] = val if s is None else s + val
 
 
 def apply_linear(M, mv):
@@ -315,16 +318,30 @@ def apply_linear(M, mv):
 
 def antiderivation(alpha, images):
     """Extend e_i |-> images[i - 1] to alpha as a graded anti-derivation:
-    e_{i1..ik} |-> sum_t (-1)^t e_{i1..i(t-1)} ^ images(e_it) ^ e_{i(t+1)..ik}."""
-    out = Multivector.zero()
+    e_{i1..ik} |-> sum_t (-1)^t e_{i1..i(t-1)} ^ images(e_it) ^ e_{i(t+1)..ik}.
+
+    Each term of an image is wedged between the masks lead = {i1..i(t-1)}
+    and tail = {i(t+1)..ik} directly, with the sign of lead ^ term times
+    that of (lead | term) ^ tail, and adds into one dict."""
+    out = {}
     for m, coef in alpha.terms.items():
-        ix = indices_of(m)
-        for t, i in enumerate(ix):
-            c = coef if t % 2 == 0 else -coef
-            lead = Multivector({mask_of(ix[:t]): c})
-            tail = Multivector({mask_of(ix[t + 1 :]): ONE})
-            out = out + ((lead ^ images[i - 1]) ^ tail)
-    return out
+        lead, tail, odd = 0, m, False
+        while tail:
+            bit = tail & -tail
+            tail ^= bit
+            c = -coef if odd else coef
+            for mi, ci in images[bit.bit_length() - 1].terms.items():
+                if mi & (lead | tail):
+                    continue
+                v = c * ci
+                if _wedge_sign(lead, mi) * _wedge_sign(lead | mi, tail) < 0:
+                    v = -v
+                dst = lead | mi | tail
+                s = out.get(dst)
+                out[dst] = v if s is None else s + v
+            lead |= bit
+            odd = not odd
+    return Multivector(out)
 
 
 # -- coordinates -----------------------------------------------------------

@@ -119,24 +119,22 @@ def ricci(F):
     acts on Lambda^1 as the curvature 2-form C = [A_i, A_a] - sum_k
     c_iak A_k, and Ric_ab = sum_{i != a} C_bi, where C_bi is the signed
     coefficient of e_b ^ e_i, that is minus the e_b-coefficient of
-    e_i -| C."""
+    e_i -| C.  Since C(e_a, e_i) = -C(e_i, e_a), each unordered pair
+    i < a forms its curvature 2-form once and adds to the rows a and i."""
     if not F.constant_structure:
         raise FrameError("Ricci requires constant structure coefficients")
     A = levi_civita(F)
-    ric = []
-    for a in range(1, 9):
-        row = Multivector.zero()
-        for i in range(1, 9):
-            if i == a:
-                continue
+    rows = [Multivector.zero() for _ in range(8)]
+    for i in range(1, 9):
+        for a in range(i + 1, 9):
             C = A[i - 1].act2(A[a - 1])
             for k in range(1, 9):
                 v = F.c(i, a, k)
                 if v:
                     C = C - A[k - 1] * v
-            row = row - Multivector.blade(i).contract(C)
-        ric.append([row.coeff(b) for b in range(1, 9)])
-    return ric
+            rows[a - 1] = rows[a - 1] - Multivector.blade(i).contract(C)
+            rows[i - 1] = rows[i - 1] + Multivector.blade(a).contract(C)
+    return [[row.coeff(b) for b in range(1, 9)] for row in rows]
 
 
 def harmonic_check(F, kind):

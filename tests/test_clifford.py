@@ -22,8 +22,9 @@ from triality8.clifford import (
     kappa_form,
     mu,
     q_adjoint_check,
+    vector_action_matrix,
 )
-from triality8.exterior import Multivector, blades_of_grade, indices_of
+from triality8.exterior import GradeError, Multivector, blades_of_grade, indices_of
 from triality8.scalars import I, ONE, SQRT3, CScalar, Scalar, half
 
 e = Multivector.blade
@@ -228,6 +229,21 @@ def test_kappa_is_linear_on_vectors():
 def test_kappa_rejects_non_vectors():
     with pytest.raises(ValueError, match="grade-1"):
         kappa(e(1, 2))
+
+
+def test_vector_action_matrix_matches_act2():
+    """Column j of the matrix is a * e_j, for a real and a complex 2-form."""
+    rng = random.Random(26)
+    real = Multivector({m: Scalar(rng.randint(-4, 4), rng.randint(-2, 2))
+                        for m in blades_of_grade(2)})
+    for a in (real, real * (I + Scalar(1, 3)) + e(1, 8) * I):
+        M = vector_action_matrix(a)
+        for j in range(1, 9):
+            w = a.act2(e(j))
+            assert [M[i - 1][j - 1] for i in range(1, 9)] == \
+                [w.coeff(i) for i in range(1, 9)]
+    with pytest.raises(GradeError):
+        vector_action_matrix(e(1, 2, 3))
 
 
 def test_clifford_relations():

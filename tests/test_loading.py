@@ -79,13 +79,21 @@ def test_stabilizer_claim_runs_no_torsion_module():
     assert code == 0
     assert "structures" in ran
     assert not ran & {"torsion", "frames", "obstructions", "orbits"}
+    # nor the other commands or the calibration sampler
+    assert not ran & {"commands", "calibration"}
     assert "claims" in ran and _areas(ran) == {"claims.stab"}
+
+
+def test_calibration_bound_runs_the_sampler():
+    ran, code = _cli("verify", "calib.bound", "--format", "json")
+    assert code == 0
+    assert "calibration" in ran and "commands" not in ran
 
 
 def test_calibration_claim_runs_no_linear_algebra():
     ran, code = _cli("verify", "calib.equality", "--format", "json")
     assert code == 0
-    assert "structures" in ran
+    assert {"structures", "calibration"} <= ran
     assert not ran & {"linalg", "clifford"}
 
 
@@ -172,6 +180,17 @@ def test_obstruct_command_does_not_run_claims():
     assert "obstructions" in ran and "claims" not in ran
 
 
+def test_other_commands_run_the_commands_module(tmp_path):
+    form = tmp_path / "form.txt"
+    form.write_text("e123")
+    for argv in (("classify", str(form)),
+                 ("example", "psu3_nilmanifold", "--check", "harmonic"),
+                 ("obstruct", "p1_squared_M=960", "p2_M=240", "signature=16")):
+        ran, code = _cli(*argv)
+        assert code == 0, argv
+        assert "commands" in ran and "claims" not in ran, argv
+
+
 def test_tracer_finds_every_module():
     """The benchmark tracer imports claims and cli (a claim process has
     imported cli already), reads the modules it patches from sys.modules,
@@ -204,8 +223,8 @@ def test_public_names_resolve():
         "    missing = None\n"
         "except AttributeError as ex:\n"
         "    missing = str(ex)\n"
-        # cli holds torsion lazily: the import statement finds it waiting
-        "import triality8.cli, triality8.torsion\n"
+        # the claim index holds torsion lazily: the import statement finds it waiting
+        "import triality8.claims, triality8.torsion\n"
         "sub = triality8.torsion.gkind.__module__\n"
         "out = [names, sorted(n for n in ns if not n.startswith('__')), missing, sub]\n"
     )

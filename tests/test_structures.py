@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from triality8 import linalg as la
+from triality8.calibration import (
+    calibration,
+    calibration_form,
+    calibration_maxima,
+    calibration_sample,
+)
 from triality8.clifford import act2_svf, mu
 from triality8.exterior import (
     Multivector,
     blades_of_grade,
+    from_vector,
     indices_of,
     mask_of,
     parse_form,
@@ -35,11 +42,7 @@ from triality8.structures import (
     betti,
     c_adjoint,
     c_apply,
-    calibration_form,
     c_operator,
-    calibration,
-    calibration_maxima,
-    calibration_sample,
     canonical_omega,
     canonical_rho,
     kaehler_forms,
@@ -47,12 +50,12 @@ from triality8.structures import (
     p3,
     PROJECTIONS,
     project2,
+    projection_columns,
     sigma_canonical,
     sp_stabilizer_residuals,
     stabilizer,
     stabilizer_cached,
 )
-from triality8.structures import _c2_then_adjoint, projection_columns
 
 e = Multivector.blade
 
@@ -152,6 +155,14 @@ def test_projections(rho, omega):
         assert p10p + p10m == a20.complexify()
         for beta, sgn in ((p10p, -1), (p10m, 1)):
             assert beta.act2(rho_c) == (rho_c ^ beta).star() * (I * SQRT3 * sgn)
+
+
+def _c2_then_adjoint(alpha):
+    """c_2^* c_2 alpha through the dense matrices of the complex."""
+    v = to_vector(alpha, L2_MASKS)
+    w = la.mat_vec(c_operator(2), v)
+    u = la.mat_vec(c_adjoint(2), w)
+    return from_vector(u, L2_MASKS)
 
 
 def _project2_formula(alpha, selector):
