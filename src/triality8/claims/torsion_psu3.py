@@ -23,8 +23,8 @@ def torsion_surjd():
 
 
 def torsion_psu3_ranks():
-    ka = to.kernel_analysis("PSU3")
-    return f"domain {ka['domain_dim']}, ranks {ka['dhat_rank']}, {ka['dstar_rank']}"
+    r = to.operator_ranks("PSU3")
+    return f"domain {r['domain_dim']}, ranks {r['dhat_rank']}, {r['dstar_rank']}"
 
 
 def torsion_psu3_kernels():

@@ -6,8 +6,8 @@ from . import _verdict, e, ex, st, to
 
 
 def torsion_sp_ranks():
-    ka = to.kernel_analysis("SP1SP2")
-    return f"domain {ka['domain_dim']}, rank {ka['dhat_rank']}"
+    r = to.operator_ranks("SP1SP2")
+    return f"domain {r['domain_dim']}, rank {r['dhat_rank']}"
 
 
 def torsion_sp_kernels():

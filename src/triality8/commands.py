@@ -71,6 +71,10 @@ _EXAMPLE_CHECKS = ("harmonic", "torsion", "ricci", "classify")
 
 
 def _example_one(F, kind, expected, check):
+    """One check of `example` on the frame F.  classify never reads F: it
+    reports the orbit of the model 3-form canonical_rho(), which every PSU3
+    catalog frame carries in its adapted coframe, so it prints the same line
+    for each PSU3 id."""
     if check == "harmonic":
         got = fr.harmonic_check(F, kind)
         return {

@@ -10,9 +10,7 @@ and boolean flags supplied by the caller; no cohomology is modelled.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Frozen
+from .scalars import Frozen, Scalar
 
 
 _FLAG_TEXTS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -101,9 +99,14 @@ class CharData(Frozen):
         return {n: getattr(self, n) for n in self.__slots__}
 
 
+def _ahat_numerator(d):
+    """5760 A[M] = 7 p1^2[M] - 4 p2[M], an integer."""
+    return 7 * d.p1_squared_M - 4 * d.p2_M
+
+
 def ahat_eval(d):
     """A-hat genus A[M] = (7 p1^2[M] - 4 p2[M]) / 5760, exact."""
-    return Fraction(7 * d.p1_squared_M - 4 * d.p2_M, 5760)
+    return Scalar.from_ints(_ahat_numerator(d), 0, 5760)
 
 
 def sgn_identity_check(d):
@@ -112,12 +115,11 @@ def sgn_identity_check(d):
     is 'not applicable' when the precondition fails."""
     if 4 * d.p2_M != d.p1_squared_M:
         return {"status": "not applicable", "reason": "requires 4 p2 = p1^2"}
-    ahat = ahat_eval(d)
-    eq = Fraction(d.signature) == 16 * ahat
+    eq = 360 * d.signature == _ahat_numerator(d)  # 16 / 5760 = 1 / 360
     mod = d.signature % 16 == 0
     return {
         "status": "pass" if (eq and mod) else "fail",
-        "ahat": ahat,
+        "ahat": ahat_eval(d),
         "signature_equals_16_ahat": eq,
         "signature_div_16": mod,
     }
@@ -143,18 +145,19 @@ def su3_lift_check(d):
     items plus p1 divisible by 6, p1^2[M] in 216Z, and integrality of the
     twisted spin index 3 A[M] - p1^2[M]/216.  The stronger consequences
     A[M] in 40Z and sgn(M) in 640Z are reported informationally."""
-    ahat = ahat_eval(d)
-    spin_index = 3 * ahat - Fraction(d.p1_squared_M, 216)
+    n = _ahat_numerator(d)
+    # 3 A[M] - p1^2[M]/216 = (9 n - 80 p1^2[M]) / 17280
+    spin_index = 9 * n - 80 * d.p1_squared_M
     items = {
         "euler_zero": d.euler_M == 0,
         "p1sq_eq_4p2": d.p1_squared_M == 4 * d.p2_M,
         "p1_div_by_6": d.p1_div_by_6,
         "p1sq_in_216Z": d.p1_squared_M % 216 == 0,
-        "spin_index_integral": spin_index.denominator == 1,
+        "spin_index_integral": spin_index % 17280 == 0,
     }
     items["all_pass"] = all(items.values())
-    items["spin_index"] = spin_index
-    items["ahat"] = ahat
-    items["ahat_in_40Z"] = ahat.denominator == 1 and ahat.numerator % 40 == 0
+    items["spin_index"] = Scalar.from_ints(spin_index, 0, 17280)
+    items["ahat"] = ahat_eval(d)
+    items["ahat_in_40Z"] = n % (40 * 5760) == 0
     items["sgn_in_640Z"] = d.signature % 640 == 0
     return items

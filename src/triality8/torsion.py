@@ -56,26 +56,25 @@ class TorsionError(ValueError):
 
 class GKind(Frozen):
     """Invariant data of one of the two geometries: the form, its degree,
-    the complement g-perp of its stabilizer g as a basis of Lambda^2 and
-    the Dirac chiralities.  Only the operator matrices need it; the
+    the complement g-perp of its stabilizer g as a basis of Lambda^2, the
+    Dirac chiralities and the harmonic stack (the form operators whose joint
+    kernel is the harmonic kernel).  Only the operator matrices need it; the
     operators on single tensors read _SLOTS and the invariant form."""
 
-    __slots__ = ("kind", "gamma", "degree", "gperp", "gperp_forms", "chiralities")
+    __slots__ = ("kind", "gamma", "degree", "gperp", "gperp_forms", "chiralities", "harmonic")
 
-    def __init__(self, kind, gamma, degree, gperp, gperp_forms, chiralities):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "gperp", gperp)
-        object.__setattr__(self, "gperp_forms", gperp_forms)
-        object.__setattr__(self, "chiralities", chiralities)
+    def __init__(self, kind, gamma, degree, gperp, gperp_forms, chiralities, harmonic):
+        for name in self.__slots__:
+            object.__setattr__(self, name, locals()[name])
 
     def __repr__(self):
         return f"GKind({self.kind!r})"
 
 
-# kind -> (the slot-2 projection selector, the chiralities of its Dirac maps)
-_SLOTS = {"PSU3": ("psu3_20", ("+", "-")), "SP1SP2": ("sp_15", ("+",))}
+# kind -> (the slot-2 projection selector, the chiralities of its Dirac maps,
+# the harmonic stack: for SP1SP2 dstar_hat = +-star dhat, Omega is self-dual)
+_SLOTS = {"PSU3": ("psu3_20", ("+", "-"), ("dhat", "dstar_hat")),
+          "SP1SP2": ("sp_15", ("+",), ("dhat",))}
 
 
 def _slots(kind):
@@ -86,12 +85,12 @@ def _slots(kind):
 
 @lru_cache(maxsize=None)
 def gkind(kind):
-    selector, chis = _slots(kind)
+    selector, chis, harmonic = _slots(kind)
     gamma, degree = invariant_form(kind)
     gperp = Subspace("L2", la.column_space_basis(
         [l2_vector(a) for a in projection_columns(selector)]))
     forms = tuple(l2_form(v) for v in gperp.basis)
-    return GKind(kind, gamma, degree, gperp, forms, chis)
+    return GKind(kind, gamma, degree, gperp, forms, chis, harmonic)
 
 
 def _project_slot(kind, a):
@@ -151,12 +150,6 @@ class TorsionTensor(Frozen):
 
     def is_zero(self):
         return all(a.is_zero() for a in self.slots)
-
-    def is_complex(self):
-        return any(a.is_complex() for a in self.slots)
-
-    def complexify(self):
-        return TorsionTensor(self.kind, [a.complexify() for a in self.slots])
 
     def projected(self):
         return TorsionTensor(
@@ -359,64 +352,65 @@ def l_spectrum():
 
 
 # -- exact kernel analysis -------------------------------------------------
+# The matrices act on the basis tensors e_i (x) b, b over the g-perp basis;
+# each b is a column of the slot-2 projection, so none is projected again.
 
 
 @lru_cache(maxsize=None)
-def _operator_columns(kind):
-    """The columns of dhat, dstar_hat and Dhat (per chirality) on the basis
-    tensors e_i (x) b, i = 1..8 and b over g-perp, by linearity: one form
-    action and one act2_svf per b, then e_i by wedge, contraction and
-    Clifford multiplication."""
+def _form_matrices(kind):
+    """The matrices of dhat and dstar_hat, keyed by name: one form action
+    per b, then e_i by wedge and contraction."""
     gk = gkind(kind)
-    slots = [_project_slot(kind, b) for b in gk.gperp_forms]
-    acts = [_form_action(a, gk.gamma) for a in slots]
+    acts = [_form_action(b, gk.gamma) for b in gk.gperp_forms]
     xs = [Multivector.blade(i) for i in range(1, 9)]
     up, down = blades_of_grade(gk.degree + 1), blades_of_grade(gk.degree - 1)
-    cols_d = [to_vector(x ^ f, up) for x in xs for f in acts]
-    cols_ds = [to_vector(x.contract(f), down) for x in xs for f in acts]
-    cols_D = {}
+    return {"dhat": la.transpose([to_vector(x ^ f, up) for x in xs for f in acts]),
+            "dstar_hat": la.transpose([to_vector(x.contract(f), down)
+                                       for x in xs for f in acts])}
+
+
+@lru_cache(maxsize=None)
+def _dirac_matrix(kind):
+    """The matrix of Dhat with the kind's chiralities stacked in order, 64
+    rows each: one act2_svf per b and chirality, then e_i by Clifford
+    multiplication."""
+    gk = gkind(kind)
+    rows = []
     for c in gk.chiralities:
         sigma = sigma_canonical(kind, c)
-        svfs = [cf.act2_svf(a, sigma).matrix for a in slots]
+        svfs = [cf.act2_svf(b, sigma).matrix for b in gk.gperp_forms]
         dst = "-" if sigma.target == "+" else "+"
-        cols_D[c] = [list(chain.from_iterable(cf.blade_apply(1 << i, dst, sigma.target, S)))
-                     for i in range(8) for S in svfs]
-    return cols_d, cols_ds, cols_D
+        rows += la.transpose([list(chain.from_iterable(
+            cf.blade_apply(1 << i, dst, sigma.target, S))) for i in range(8) for S in svfs])
+    return rows
+
+
+@lru_cache(maxsize=None)
+def operator_ranks(kind):
+    """The dimension of Lambda^1 (x) g-perp (domain_dim) and the exact
+    ranks of dhat and dstar_hat on it (dhat_rank, dstar_rank).  It builds
+    the form matrices only, no spinor."""
+    M = _form_matrices(kind)
+    return {"domain_dim": len(M["dhat"][0]), "dhat_rank": la.rank(M["dhat"]),
+            "dstar_rank": la.rank(M["dstar_hat"])}
 
 
 @lru_cache(maxsize=None)
 def kernel_analysis(kind):
-    """Exact ranks and kernels of the three operators on a basis of
-    Lambda^1 (x) g-perp, plus the harmonic/Dirac kernel comparison.
-
-    For SP1SP2 the harmonic kernel is ker dhat and the Dirac kernel is
-    ker Dhat+, so their ranks are read off the two nullspaces.  A kernel
-    determines the unique RREF of its matrix, and la.nullspace reads its
-    basis off that RREF, so two kernels are equal exactly when their
-    bases are the same list."""
+    """operator_ranks(kind), the harmonic kernel (of the form operators of
+    the kind's harmonic stack) and the Dirac kernel (of Dhat, every
+    chirality stacked; its dimension also as dirac<chiralities>_kernel_dim),
+    and whether they are equal.  A kernel determines the unique RREF of its
+    matrix, and la.nullspace reads its basis off that RREF, so two kernels
+    are equal exactly when their bases are the same list."""
     gk = gkind(kind)
-    cols_d, cols_ds, cols_D = _operator_columns(kind)
-    n = len(cols_d)
-    M_d, M_ds = la.transpose(cols_d), la.transpose(cols_ds)
-    D_mats = {c: la.transpose(cols_D[c]) for c in gk.chiralities}
-    if kind == "PSU3":
-        harmonic = Subspace("torsion", la.nullspace(M_d + M_ds))
-        dirac = Subspace("torsion", la.nullspace(D_mats["+"] + D_mats["-"]))
-        d_rank = la.rank(M_d)
-        dirac_dims = {c: n - la.rank(D_mats[c]) for c in gk.chiralities}
-    else:
-        harmonic = Subspace("torsion", la.nullspace(M_d))
-        dirac = Subspace("torsion", la.nullspace(D_mats["+"]))
-        d_rank = n - harmonic.dim
-        dirac_dims = {"+": dirac.dim}
-    out = {"domain_dim": n, "dhat_rank": d_rank, "dstar_rank": la.rank(M_ds)}
-    for c in gk.chiralities:
-        out[f"dirac{c}_kernel_dim"] = dirac_dims[c]
-    out["harmonic_kernel"] = harmonic
-    out["dirac_kernel"] = dirac
-    out["harmonic_dim"] = harmonic.dim
-    out["dirac_dim"] = dirac.dim
-    out["kernels_equal"] = harmonic.basis == dirac.basis
+    forms = _form_matrices(kind)
+    harmonic = Subspace("torsion", la.nullspace([r for op in gk.harmonic for r in forms[op]]))
+    dirac = Subspace("torsion", la.nullspace(_dirac_matrix(kind)))
+    out = dict(operator_ranks(kind), harmonic_kernel=harmonic, dirac_kernel=dirac,
+               harmonic_dim=harmonic.dim, dirac_dim=dirac.dim,
+               kernels_equal=harmonic.basis == dirac.basis)
+    out[f"dirac{''.join(gk.chiralities)}_kernel_dim"] = dirac.dim
     return out
 
 

@@ -97,6 +97,15 @@ def test_calibration_claim_runs_no_linear_algebra():
     assert not ran & {"linalg", "clifford"}
 
 
+def test_torsion_rank_claim_runs_no_spinor_module():
+    """The ranks of dhat and dstar_hat need the form matrices only: no Dirac
+    column is built."""
+    ran, code = _cli("verify", "torsion.psu3_ranks", "--format", "json")
+    assert code == 0
+    assert {"torsion", "structures", "linalg"} <= ran
+    assert "clifford" not in ran
+
+
 def test_frame_connection_claim_runs_no_orbit_or_torsion_module():
     ran, code = _cli("verify", "frame.salamon_nabla", "--format", "json")
     assert code == 0
@@ -130,13 +139,15 @@ def _rational_modules_after(code):
 def test_fractions_load_on_first_use():
     """Values are built from ints: the scalars module, an exact square root,
     a bool operand and a claim that prints no rational part import neither
-    fractions nor decimal, also the claims that take square roots."""
+    fractions nor decimal, also the claims that take square roots and the
+    obstruction claims, whose characteristic numbers are Scalars."""
     assert _rational_modules_after("import triality8.scalars\n") == []
     assert _rational_modules_after(
         "from triality8.scalars import Scalar\n"
         "assert str(Scalar(7, 4).sqrt()) == '2 + 1 r3'\n"
         "assert Scalar(True) + False == 1\n") == []
-    for claim in ("stab.rho", "frame.gh", "orbit.classify_mixed"):
+    for claim in ("stab.rho", "frame.gh", "orbit.classify_mixed", "obstruct.identities",
+                  "obstruct.su3_datum", "obstruct.failing_data"):
         assert _rational_modules_after(
             "from triality8 import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -53,6 +53,28 @@ def test_identities_under_pontrjagin_relation(n):
     assert ob.sgn_identity_check(d)["status"] == "pass"
 
 
+@given(st.sampled_from([1, 36, 216, 960, 8640, 230400]), st.integers(-50, 50),
+       st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_int_predicates_match_the_fraction_oracle(unit, k, p2, sgn):
+    """The values are Scalars and the divisibility tests run on ints; both
+    agree with the same quantities computed with Fraction, in value and in
+    printed text."""
+    p1sq = unit * k
+    ahat = Fraction(7 * p1sq - 4 * p2, 5760)
+    spin_index = 3 * ahat - Fraction(p1sq, 216)
+    d = ob.CharData(p1_squared_M=p1sq, p2_M=p2, signature=sgn)
+    lift = ob.su3_lift_check(d)
+    for got, want in ((ob.ahat_eval(d), ahat), (lift["ahat"], ahat),
+                      (lift["spin_index"], spin_index)):
+        assert got == want and str(got) == str(want)
+    assert lift["spin_index_integral"] == (spin_index.denominator == 1)
+    assert lift["ahat_in_40Z"] == (ahat.denominator == 1 and ahat.numerator % 40 == 0)
+    d4 = ob.CharData(p1_squared_M=4 * p2, p2_M=p2, signature=sgn)
+    check = ob.sgn_identity_check(d4)
+    assert check["signature_equals_16_ahat"] == (Fraction(sgn) == 16 * Fraction(24 * p2, 5760))
+    assert check["ahat"] == Fraction(24 * p2, 5760)
+
+
 @given(
     st.integers(-500, 500), st.integers(-500, 500),
     st.integers(0, 1), st.booleans(),

@@ -88,13 +88,24 @@ def test_l_columns_match_L_op():
         assert col == to_vector(to.L_op(Multivector({m: ONE})), to._L3_MASKS), m
 
 
+def _dirac_columns(kind):
+    """The columns of the stacked Dirac matrix, one 64-entry block per
+    chirality, in the order of the kind's chiralities."""
+    cols = la.transpose(to._dirac_matrix(kind))
+    return {c: [col[64 * k:64 * (k + 1)] for col in cols]
+            for k, c in enumerate(to.gkind(kind).chiralities)}
+
+
 @pytest.mark.parametrize("kind", ["PSU3", "SP1SP2"])
 def test_operator_columns_match_per_tensor_operators(kind):
     """The columns built by linearity are dhat, dstar_hat and Dhat of the
     basis tensors e_i (x) b, entry for entry."""
     gk = to.gkind(kind)
     up, down = blades_of_grade(gk.degree + 1), blades_of_grade(gk.degree - 1)
-    cols_d, cols_ds, cols_D = to._operator_columns(kind)
+    forms = to._form_matrices(kind)
+    cols_d, cols_ds = la.transpose(forms["dhat"]), la.transpose(forms["dstar_hat"])
+    cols_D = _dirac_columns(kind)
+    assert len(to._dirac_matrix(kind)) == 64 * len(gk.chiralities)
     basis = [to.TorsionTensor.simple(kind, e(i), b)
              for i in range(1, 9) for b in gk.gperp_forms]
     assert len(cols_d) == len(cols_ds) == len(basis) == gk.gperp.dim * 8
@@ -161,16 +172,22 @@ def test_kernel_analysis_sp():
 
 @pytest.mark.parametrize("kind", ["PSU3", "SP1SP2"])
 def test_kernel_analysis_matches_direct_eliminations(kind):
-    """The reported ranks equal la.rank of the operator matrices, and
-    kernels_equal equals the joint column-space test: two kernels of the
-    same dimension are equal when their bases together span no more."""
+    """The reported ranks equal la.rank of the operator matrices, the
+    harmonic kernel is the joint kernel of dhat and dstar_hat for both kinds
+    (for SP1SP2 the kind table stacks dhat alone), and kernels_equal equals
+    the joint column-space test: two kernels of the same dimension are equal
+    when their bases together span no more."""
     ka = to.kernel_analysis(kind)
-    cols_d, cols_ds, cols_D = to._operator_columns(kind)
-    n = len(cols_d)
-    assert ka["dhat_rank"] == la.rank(la.transpose(cols_d))
-    assert ka["dstar_rank"] == la.rank(la.transpose(cols_ds))
-    for c, cols in cols_D.items():
-        assert ka[f"dirac{c}_kernel_dim"] == n - la.rank(la.transpose(cols))
+    forms = to._form_matrices(kind)
+    M_d, M_ds = forms["dhat"], forms["dstar_hat"]
+    n = len(M_d[0])
+    ranks = to.operator_ranks(kind)
+    assert {k: ka[k] for k in ranks} == ranks
+    assert ka["dhat_rank"] == la.rank(M_d)
+    assert ka["dstar_rank"] == la.rank(M_ds)
+    chis = "".join(to.gkind(kind).chiralities)
+    assert ka[f"dirac{chis}_kernel_dim"] == n - la.rank(to._dirac_matrix(kind))
+    assert ka["harmonic_kernel"].basis == la.nullspace(M_d + M_ds)
     H, D = ka["harmonic_kernel"], ka["dirac_kernel"]
     joint = la.column_space_basis(H.basis + D.basis)
     assert ka["kernels_equal"] == (H.dim == D.dim and len(joint) == H.dim)
@@ -184,5 +201,5 @@ def test_kernel_analysis_psu3():
     assert ka["dirac_dim"] == 70
     assert ka["kernels_equal"]
     # individual Dirac kernels are strictly larger than the joint kernel
-    assert ka["dirac+_kernel_dim"] == 97
-    assert ka["dirac-_kernel_dim"] == 97
+    for c, cols in _dirac_columns("PSU3").items():
+        assert ka["domain_dim"] - la.rank(la.transpose(cols)) == 97, c
